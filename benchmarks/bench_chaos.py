@@ -13,6 +13,7 @@ subsystem's two headline guarantees:
 import json
 
 from repro.experiments import run_chaos
+from repro.experiments.scene import Instruments
 
 
 def _run(seed=0):
@@ -88,7 +89,9 @@ def test_chaos_supervision_transparent():
         supervised2, sort_keys=True
     )
 
-    _, raced = run_chaos(seed=0, supervise=True, detect_races=True)
+    _, raced = run_chaos(
+        seed=0, supervise=True, instruments=Instruments(detect_races=True)
+    )
     assert raced["races"] == [], raced["races"]
 
 
@@ -100,7 +103,7 @@ def test_chaos_race_clean():
     access pair is ordered merely by the event queue's FIFO tiebreak —
     the trajectory would survive a reshuffling of same-time scheduling.
     """
-    _, payload = run_chaos(seed=0, detect_races=True)
+    _, payload = run_chaos(seed=0, instruments=Instruments(detect_races=True))
     assert payload["races"] == [], payload["races"]
 
     # Instrumentation must not perturb the trajectory itself.
@@ -121,8 +124,10 @@ def test_chaos_tiebreak_invisible():
     from repro.analysis.schedule import DemoteTiebreak, FifoTiebreak
 
     _, baseline = _run(seed=0)
-    _, fifo = run_chaos(seed=0, tiebreak=FifoTiebreak())
-    _, empty = run_chaos(seed=0, tiebreak=DemoteTiebreak({}))
+    _, fifo = run_chaos(seed=0, instruments=Instruments(tiebreak=FifoTiebreak()))
+    _, empty = run_chaos(
+        seed=0, instruments=Instruments(tiebreak=DemoteTiebreak({}))
+    )
     assert json.dumps(fifo, sort_keys=True) == json.dumps(
         baseline, sort_keys=True
     )

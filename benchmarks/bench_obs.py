@@ -27,6 +27,7 @@ committed copy is the baseline ``repro bench check`` compares against.
 import json
 
 from repro.experiments import run_chaos
+from repro.experiments.scene import Instruments
 from repro.obs import TraceRecorder, UsageAccountant, adaptation_chains, to_jsonl
 
 _ROUNDS = 10
@@ -39,7 +40,7 @@ def test_traced_run_byte_identical(artifact_dir):
     """Tracing must not perturb the simulation outcome."""
     _, untraced = run_chaos(seed=0)
     recorder = TraceRecorder()
-    _, traced = run_chaos(seed=0, recorder=recorder)
+    _, traced = run_chaos(seed=0, instruments=Instruments(recorder=recorder))
     assert json.dumps(traced, sort_keys=True) == json.dumps(
         untraced, sort_keys=True
     )
@@ -56,7 +57,7 @@ def test_usage_accounted_run_byte_identical():
     """Usage accounting must not perturb the simulation outcome."""
     _, bare = run_chaos(seed=0)
     usage = UsageAccountant()
-    _, accounted = run_chaos(seed=0, usage=usage)
+    _, accounted = run_chaos(seed=0, instruments=Instruments(usage=usage))
     assert json.dumps(accounted, sort_keys=True) == json.dumps(
         bare, sort_keys=True
     )
@@ -77,14 +78,18 @@ def test_obs_overhead_bounded(artifact_dir, interleaved_best):
         return run_chaos(seed=0)
 
     def traced():
-        return run_chaos(seed=0, recorder=TraceRecorder())
+        return run_chaos(
+            seed=0, instruments=Instruments(recorder=TraceRecorder())
+        )
 
     def full():
         recorder = TraceRecorder()
         return run_chaos(
             seed=0,
-            recorder=recorder,
-            usage=UsageAccountant(metrics=recorder.metrics),
+            instruments=Instruments(
+                recorder=recorder,
+                usage=UsageAccountant(metrics=recorder.metrics),
+            ),
         )
 
     base, cost, total = interleaved_best(

@@ -22,6 +22,7 @@ committed copy is the baseline ``repro bench check`` compares against.
 import json
 
 from repro.experiments import run_chaos, run_recovery
+from repro.experiments.scene import Instruments
 
 #: Mirrors the FailoverMember parameters run_recovery wires up: a standby
 #: declares the primary lost after ``takeover_after`` without heartbeats,
@@ -112,7 +113,7 @@ def test_recovery_race_clean():
     overload guard's admission path.  An empty report means none of it
     is ordered merely by the event queue's FIFO tiebreak.
     """
-    _, payload = run_recovery(seed=0, detect_races=True)
+    _, payload = run_recovery(seed=0, instruments=Instruments(detect_races=True))
     assert payload["races"] == [], payload["races"]
 
     # The detector is passive: stripping its report recovers the baseline.
@@ -133,8 +134,12 @@ def test_recovery_tiebreak_invisible():
     from repro.analysis.schedule import DemoteTiebreak, FifoTiebreak
 
     _, baseline = run_recovery(seed=0)
-    _, fifo = run_recovery(seed=0, tiebreak=FifoTiebreak())
-    _, empty = run_recovery(seed=0, tiebreak=DemoteTiebreak({}))
+    _, fifo = run_recovery(
+        seed=0, instruments=Instruments(tiebreak=FifoTiebreak())
+    )
+    _, empty = run_recovery(
+        seed=0, instruments=Instruments(tiebreak=DemoteTiebreak({}))
+    )
     assert json.dumps(fifo, sort_keys=True) == json.dumps(
         baseline, sort_keys=True
     )

@@ -37,6 +37,7 @@ import json
 from statistics import median
 
 from repro.experiments import fig5_database, run_chaos, run_recovery
+from repro.experiments.scene import Instruments
 from repro.obs import KernelProfiler
 
 _ROUNDS = 9
@@ -56,9 +57,10 @@ _SUBSYSTEMS = (
 
 def _workload(profiler=None):
     """One pass of the mixed macro-workload (profiler optional)."""
-    fig5_database(seed=0, profiler=profiler)
-    run_chaos(seed=0, profiler=profiler)
-    run_recovery(seed=0, profiler=profiler)
+    instruments = Instruments(profiler=profiler) if profiler is not None else None
+    fig5_database(seed=0, instruments=instruments)
+    run_chaos(seed=0, instruments=instruments)
+    run_recovery(seed=0, instruments=instruments)
 
 
 def _subsystem_shares(profiler):
@@ -87,21 +89,22 @@ def test_profiled_workload_byte_identical():
     guarantee the profiler advertises, independent of wall-clock noise.
     """
     profiler = KernelProfiler()
+    instruments = Instruments(profiler=profiler)
 
     db_bare, _, _ = fig5_database(seed=0)
-    db_prof, _, _ = fig5_database(seed=0, profiler=profiler)
+    db_prof, _, _ = fig5_database(seed=0, instruments=instruments)
     assert json.dumps(db_prof.to_dict(), sort_keys=True) == json.dumps(
         db_bare.to_dict(), sort_keys=True
     )
 
     _, chaos_bare = run_chaos(seed=0)
-    _, chaos_prof = run_chaos(seed=0, profiler=profiler)
+    _, chaos_prof = run_chaos(seed=0, instruments=instruments)
     assert json.dumps(chaos_prof, sort_keys=True) == json.dumps(
         chaos_bare, sort_keys=True
     )
 
     _, rec_bare = run_recovery(seed=0)
-    _, rec_prof = run_recovery(seed=0, profiler=profiler)
+    _, rec_prof = run_recovery(seed=0, instruments=instruments)
     assert json.dumps(rec_prof, sort_keys=True) == json.dumps(
         rec_bare, sort_keys=True
     )

@@ -108,11 +108,12 @@ class Flip:
 class Scenario:
     """A replayable workload the explorer can drive.
 
-    ``run(tiebreak=..., detect_races=..., recorder=...)`` must return the
-    JSON-friendly payload of one complete run; two calls with equal
-    arguments must return byte-identical payloads (modulo
-    :data:`VOLATILE_KEYS`), and the ``tiebreak``/``detect_races``/
-    ``recorder`` instrumentation must itself be payload-passive.
+    ``run(instruments)`` (an :class:`~repro.experiments.scene.Instruments`
+    carrying ``tiebreak``, ``detect_races`` and optionally ``recorder``)
+    must return the JSON-friendly payload of one complete run; two calls
+    with equal instruments must return byte-identical payloads (modulo
+    :data:`VOLATILE_KEYS`), and the instrumentation must itself be
+    payload-passive.
     """
 
     name: str
@@ -284,6 +285,8 @@ class ScheduleExplorer:
         run (a reordering can deadlock or trip an invariant) digests its
         error string — always a divergence, never a silent pass.
         """
+        from ..experiments.scene import Instruments
+
         directives: Dict[int, int] = {}
         for i, flip in enumerate(flips):
             directives[flip.seq] = max(directives.get(flip.seq, 0), i + 1)
@@ -291,7 +294,7 @@ class ScheduleExplorer:
         self.runs += 1
         try:
             payload = self.scenario.run(
-                tiebreak=policy, detect_races=detect, recorder=recorder
+                Instruments(recorder=recorder, tiebreak=policy, detect_races=detect)
             )
         except Exception as exc:  # noqa: BLE001 — crash == divergence
             error = f"{type(exc).__name__}: {exc}"
@@ -447,9 +450,7 @@ class ScheduleExplorer:
 # --------------------------------------------------------------------------
 
 
-def run_racy(
-    seed: int = 0, tiebreak=None, detect_races: bool = False, recorder=None
-) -> Dict[str, Any]:
+def run_racy(seed: int = 0, instruments=None) -> Dict[str, Any]:
     """A deliberately order-sensitive workload (explorer ground truth).
 
     Two tie windows, each a genuine detector-visible race:
@@ -464,16 +465,14 @@ def run_racy(
     find the ``t=2`` flip divergent, and shrink any divergent trail to
     that single flip.
     """
-    from ..sim.core import Simulator
+    from ..experiments.scene import Instruments
+    from ..sandbox import Testbed
 
-    sim = Simulator(tiebreak=tiebreak)
-    detector = None
-    if detect_races:
-        from .races import RaceDetector
-
-        detector = RaceDetector(sim).attach()
-    if recorder is not None:
-        recorder.bind(sim)
+    ins = instruments or Instruments()
+    testbed = Testbed(host_specs=[], tiebreak=ins.tiebreak)
+    sim = testbed.sim
+    detector = ins.attach(testbed).detector
+    recorder = ins.recorder
     state: Dict[str, Any] = {"scratch": 0, "winner": None, "log": []}
 
     def note(label: str) -> None:
@@ -503,7 +502,10 @@ def run_racy(
     sim.process(scratch_writer(2), name="scratch-b")
     sim.process(winner_writer("a"), name="winner-a")
     sim.process(winner_writer("b"), name="winner-b")
-    sim.run()
+    try:
+        sim.run()
+    finally:
+        ins.detach()
 
     payload: Dict[str, Any] = {
         "experiment": "racy",
@@ -511,18 +513,11 @@ def run_racy(
         "winner": state["winner"],
         "log": list(state["log"]),
     }
-    if detector is not None:
-        payload["races"] = [r.to_dict() for r in detector.finish()]
-        detector.detach()
-    if recorder is not None:
-        recorder.finish()
-        recorder.unbind()
+    ins.add_races(payload)
     return payload
 
 
-def _run_fig5_cell(
-    seed: int, tiebreak=None, detect_races: bool = False, recorder=None
-) -> Dict[str, Any]:
+def _run_fig5_cell(seed: int, ins) -> Dict[str, Any]:
     """One Experiment-3 profiling cell as a self-contained testbed run.
 
     ``fig5_database`` spawns a fresh simulator per (config, point) cell
@@ -546,27 +541,22 @@ def _run_fig5_cell(
         host_specs=app.env.host_specs(),
         link_specs=app.env.link_specs(),
         seed=run_seed,
-        tiebreak=tiebreak,
+        tiebreak=ins.tiebreak,
     )
-    detector = None
-    if detect_races:
-        from .races import RaceDetector, watch
-
-        detector = RaceDetector(testbed.sim).attach()
-        for host_name in sorted(testbed.hosts):
-            watch(detector, testbed.hosts[host_name])
-    if recorder is not None:
-        recorder.bind(testbed.sim)
-    workload = VizWorkload(n_images=2, costs=EXP3_COSTS, seed=run_seed)
-    rt = app.instantiate(
-        testbed,
-        config,
-        limits=limits_for_point(point),
-        workload=workload,
-        seed=run_seed,
-    )
-    testbed.run(until=600.0)
-    testbed.shutdown()
+    ins.attach(testbed, config)
+    try:
+        workload = VizWorkload(n_images=2, costs=EXP3_COSTS, seed=run_seed)
+        rt = app.instantiate(
+            testbed,
+            config,
+            limits=limits_for_point(point),
+            workload=workload,
+            seed=run_seed,
+        )
+        testbed.run(until=600.0)
+        testbed.shutdown()
+    finally:
+        ins.detach()
     if not rt.finished.triggered:
         raise RuntimeError("fig5 cell run did not finish by t=600")
     payload: Dict[str, Any] = {
@@ -577,67 +567,34 @@ def _run_fig5_cell(
         "metrics": rt.qos.snapshot(),
         "image_times": [[t, d] for t, d in workload.image_times],
     }
-    if detector is not None:
-        payload["races"] = [r.to_dict() for r in detector.finish()]
-        detector.detach()
-    if recorder is not None:
-        recorder.finish()
-        recorder.unbind()
+    ins.add_races(payload)
     return payload
 
 
 def builtin_scenarios(seed: int = 0) -> Dict[str, Scenario]:
-    """The explorable workloads behind ``repro check explore``."""
+    """The explorable workloads behind ``repro check explore``.
 
-    def chaos(tiebreak=None, detect_races=False, recorder=None):
-        from ..experiments.chaos import run_chaos
+    ``chaos`` and ``recovery`` are the registered scenarios of the same
+    names (:data:`repro.experiments.scene.SCENARIOS`); ``fig5`` and
+    ``racy`` are explorer-only single-simulator workloads.
+    """
+    from ..experiments.scene import SCENARIOS
 
-        _fig, payload = run_chaos(
-            seed=seed,
-            tiebreak=tiebreak,
-            detect_races=detect_races,
-            recorder=recorder,
-        )
-        return payload
-
-    def recovery(tiebreak=None, detect_races=False, recorder=None):
-        from ..experiments.recovery import run_recovery
-
-        _fig, payload = run_recovery(
-            seed=seed,
-            tiebreak=tiebreak,
-            detect_races=detect_races,
-            recorder=recorder,
-        )
-        return payload
-
-    def fig5(tiebreak=None, detect_races=False, recorder=None):
-        return _run_fig5_cell(
-            seed, tiebreak=tiebreak, detect_races=detect_races,
-            recorder=recorder,
-        )
-
-    def racy(tiebreak=None, detect_races=False, recorder=None):
-        return run_racy(
-            seed, tiebreak=tiebreak, detect_races=detect_races,
-            recorder=recorder,
+    def registered(name: str) -> Scenario:
+        entry = SCENARIOS[name]
+        return Scenario(
+            name, lambda ins: entry.execute(seed, ins)[1], entry.description
         )
 
     return {
-        "chaos": Scenario(
-            "chaos", chaos,
-            "adaptation trajectory through crash/partition/loss faults",
-        ),
-        "recovery": Scenario(
-            "recovery", recovery,
-            "supervision, checkpoint restart, failover, and overload shedding",
-        ),
+        "chaos": registered("chaos"),
+        "recovery": registered("recovery"),
         "fig5": Scenario(
-            "fig5", fig5,
+            "fig5", lambda ins: _run_fig5_cell(seed, ins),
             "one Experiment-3 profiling cell (fovea 160 @ 60% CPU)",
         ),
         "racy": Scenario(
-            "racy", racy,
+            "racy", lambda ins: run_racy(seed, ins),
             "synthetic order-sensitive workload (must NOT certify)",
         ),
     }

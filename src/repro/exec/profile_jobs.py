@@ -97,11 +97,12 @@ def measure_cell(payload: Mapping, seed: int) -> dict:
 
     app_spec = AppSpec.from_dict(payload["app"])
     app = app_spec.build()
-    usage = None
+    instruments = None
     if payload.get("with_usage"):
+        from ..experiments.scene import Instruments
         from ..obs import UsageAccountant
 
-        usage = UsageAccountant()
+        instruments = Instruments(usage=UsageAccountant())
     driver = ProfilingDriver(
         app,
         dims=[],
@@ -109,15 +110,15 @@ def measure_cell(payload: Mapping, seed: int) -> dict:
         mode=payload.get("mode", "ideal"),
         seed=seed,
         max_run_time=float(payload.get("max_run_time", 3600.0)),
-        usage=usage,
+        instruments=instruments,
     )
     record = driver.measure(
         Configuration(payload["config"]), ResourcePoint(payload["point"])
     )
-    if usage is not None:
+    if instruments is not None:
         from .runner import publish_usage
 
-        publish_usage(usage.summary())
+        publish_usage(instruments.usage.summary())
     return record.to_dict()
 
 

@@ -23,15 +23,13 @@ from ..faults import FaultInjector, FaultPlan
 from ..sandbox import ResourceLimits, Testbed
 from .common import (
     FigureResult,
-    attach_instrumentation,
     build_viz_controller,
-    detach_instrumentation,
     start_estimate_exchanges,
     viz_initial_point,
     viz_preference,
 )
 from .fig6 import EXP1_COSTS, fig6a_database
-from .scene import Scene
+from .scene import Instruments, Scene
 
 __all__ = ["build_chaos", "run_chaos", "DEFAULT_FAULT_SPEC", "DEFAULT_VARIATIONS"]
 
@@ -66,12 +64,8 @@ def build_chaos(
     fault_spec: Optional[Dict] = None,
     variations: Tuple[Tuple[float, float], ...] = DEFAULT_VARIATIONS,
     until: float = 2000.0,
-    detect_races: bool = False,
-    recorder=None,
-    usage=None,
     supervise: bool = False,
-    tiebreak=None,
-    profiler=None,
+    instruments: Optional[Instruments] = None,
 ) -> Scene:
     """Construct the chaos scenario without running it.
 
@@ -81,33 +75,12 @@ def build_chaos(
     ``finalize()`` produces the figure + payload once the sim has been
     driven to ``until``.
 
-    With ``detect_races`` the run is instrumented by
-    :class:`repro.analysis.RaceDetector`: every host mailbox and the
-    exchanges' estimate tables are watched for same-timestamp conflicting
-    accesses whose order is decided only by the event queue's FIFO
-    tiebreak, and the payload gains a ``"races"`` list (empty == the
-    trajectory does not hinge on scheduling accidents).
-
-    With ``recorder`` (a :class:`repro.obs.TraceRecorder`) the run emits
-    the full span/metric trace — the recorder is strictly passive, so the
-    returned payload is byte-identical with or without it.
-
-    With ``usage`` (a :class:`repro.obs.UsageAccountant`) the run also
-    accounts served work per resource, process, and active configuration.
-    Accounting is passive like tracing — the payload stays byte-identical
-    — and the account is read from ``usage.summary()`` by the caller, not
-    folded into the payload.
-
-    With ``profiler`` (a :class:`repro.obs.KernelProfiler`) the kernel
-    attributes host wall-clock cost per event bucket and counts heap /
-    tie-window / fluid-update telemetry.  Profiling is passive like
-    tracing — the payload stays byte-identical — and results are read
-    from ``profiler.summary()`` by the caller.
-
-    With ``tiebreak`` (a policy from :mod:`repro.analysis.schedule`) the
-    event queue's same-instant tie order is under the caller's control —
-    the schedule explorer uses this to replay the run under permuted
-    same-``(time, priority)`` orders.  ``None`` is the default FIFO.
+    ``instruments`` (see :class:`~repro.experiments.scene.Instruments`)
+    observes the run passively.  Its race detector watches every host
+    mailbox and the exchanges' estimate tables for same-timestamp
+    conflicting accesses, and its tiebreak policy lets the schedule
+    explorer replay the run under permuted same-``(time, priority)``
+    orders.
 
     With ``supervise`` a :class:`repro.recovery.Supervisor` owns the
     server process.  No process dies before the run finishes (host
@@ -123,15 +96,14 @@ def build_chaos(
     preference = viz_preference()
     initial_point = viz_initial_point()
 
+    ins = instruments or Instruments()
     app = make_viz_app()
-    _scheduler, controller = build_viz_controller(
-        app, db, preference, recorder=recorder
-    )
+    _scheduler, controller = build_viz_controller(app, db, preference, ins)
     config = controller.select_initial(initial_point).config
 
     testbed = Testbed(
         host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=tiebreak,
+        seed=seed, tiebreak=ins.tiebreak,
     )
     supervisor = None
     if supervise:
@@ -168,13 +140,8 @@ def build_chaos(
     # controller's watchdog with server heartbeats.
     server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
 
-    detector = None
-    if detect_races:
-        from ..analysis.races import RaceDetector, watch
-
-        detector = RaceDetector(testbed.sim).attach()
-        for host_name in sorted(testbed.hosts):
-            watch(detector, testbed.hosts[host_name])
+    detector = ins.attach(testbed, config).detector
+    if detector is not None:
         for label, exchange in (("client", client_ex), ("server", server_ex)):
             detector.watch_mapping(
                 exchange, "remote_estimates", f"{label}.remote_estimates"
@@ -182,15 +149,6 @@ def build_chaos(
             detector.watch_mapping(
                 exchange, "peer_last_seen", f"{label}.peer_last_seen"
             )
-
-    # Hook order: the race detector refuses to attach over an existing
-    # step_hook, so it goes first; the accountant and the recorder each
-    # chain whatever they find, recorder last (attach_instrumentation
-    # keeps that canonical order).
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
 
     def vary():
         for at, net_bw in variations:
@@ -208,22 +166,20 @@ def build_chaos(
             plan=plan, seed=seed, n_images=n_images, variations=variations,
             injector=injector, controller=controller, rt=rt,
             workload=workload, testbed=testbed,
-            client_ex=client_ex, server_ex=server_ex, detector=detector,
-            usage=usage, recorder=recorder, profiler=profiler,
+            client_ex=client_ex, server_ex=server_ex, instruments=ins,
         )
 
     return Scene(
         name="chaos", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, rt=rt, controller=controller, workload=workload,
-        injector=injector, supervisor=supervisor,
+        finalize=_finalize, instruments=ins, rt=rt, controller=controller,
+        workload=workload, injector=injector, supervisor=supervisor,
         client_exchange=client_ex, server_exchange=server_ex,
-        recorder=recorder, usage=usage, profiler=profiler,
     )
 
 
 def _summarize_chaos(
     plan, seed, n_images, variations, injector, controller, rt, workload,
-    testbed, client_ex, server_ex, detector, usage, recorder, profiler,
+    testbed, client_ex, server_ex, instruments,
 ) -> Tuple[FigureResult, Dict]:
     payload = {
         "experiment": "chaos",
@@ -264,10 +220,7 @@ def _summarize_chaos(
         "lost_peers_at_end": sorted(controller.lost_peers),
         "total_time": workload.image_times[-1][0] if workload.image_times else 0.0,
     }
-    if detector is not None:
-        payload["races"] = [r.to_dict() for r in detector.finish()]
-        detector.detach()
-    detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
+    instruments.add_races(payload)
 
     result = FigureResult(
         figure="Chaos",
@@ -298,26 +251,19 @@ def run_chaos(
     fault_spec: Optional[Dict] = None,
     variations: Tuple[Tuple[float, float], ...] = DEFAULT_VARIATIONS,
     until: float = 2000.0,
-    detect_races: bool = False,
-    recorder=None,
-    usage=None,
     supervise: bool = False,
-    tiebreak=None,
-    profiler=None,
+    instruments: Optional[Instruments] = None,
 ) -> Tuple[FigureResult, Dict]:
     """Run the adaptive visualization app through a fault schedule.
 
     Returns the rendered figure plus a JSON-friendly trajectory payload
     (written to ``benchmarks/out/chaos.json`` by the benchmark harness).
     Construction, run, and summary are :func:`build_chaos` +
-    ``testbed.run`` + ``Scene.finalize`` — see that function for what the
-    instrumentation/`supervise`/`tiebreak` knobs do.
+    ``Scene.run`` — see that function for what the `supervise` and
+    `instruments` knobs do.
     """
-    scene = build_chaos(
+    return build_chaos(
         seed=seed, n_images=n_images, fault_spec=fault_spec,
-        variations=variations, until=until, detect_races=detect_races,
-        recorder=recorder, usage=usage, supervise=supervise,
-        tiebreak=tiebreak, profiler=profiler,
-    )
-    scene.testbed.run(until=until)
-    return scene.finalize()
+        variations=variations, until=until, supervise=supervise,
+        instruments=instruments,
+    ).run()

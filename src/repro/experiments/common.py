@@ -30,8 +30,6 @@ __all__ = [
     "viz_initial_point",
     "build_viz_controller",
     "start_estimate_exchanges",
-    "attach_instrumentation",
-    "detach_instrumentation",
     "closed_loop_viz_user",
 ]
 
@@ -185,7 +183,7 @@ def viz_initial_point():
     return ResourcePoint({"client.cpu": 1.0, "client.network": 500e3})
 
 
-def build_viz_controller(app, db, preference, recorder=None):
+def build_viz_controller(app, db, preference, instruments):
     """Scheduler + adaptation controller with the experiments' tuning.
 
     Returns ``(scheduler, controller)``; the monitor window/cooldown and
@@ -203,7 +201,7 @@ def build_viz_controller(app, db, preference, recorder=None):
         monitor_kwargs={"window": 2.0, "cooldown": 5.0, "period": 0.01},
         steering_kwargs={"ack_timeout": 2.0, "max_retries": 2, "backoff": 2.0},
         watchdog_period=0.5,
-        recorder=recorder,
+        recorder=instruments.recorder,
     )
     return scheduler, controller
 
@@ -227,36 +225,6 @@ def start_estimate_exchanges(rt, controller):
     ).start()
     controller.start_watchdog(client_ex)
     return server_agent, client_ex, server_ex
-
-
-def attach_instrumentation(sim, testbed, config, usage=None, recorder=None,
-                           profiler=None):
-    """Attach passive observers in the canonical order.
-
-    Usage accounting chains the step hook first, the recorder binds last,
-    and the profiler hangs off ``sim.perf`` independently — the order every
-    benchmarked experiment uses (see the chaos run's hook-order comment).
-    """
-    if usage is not None:
-        usage.attach(sim)
-        usage.track_testbed(testbed)
-        usage.set_config(config.label(), t=sim.now)
-    if recorder is not None:
-        recorder.bind(sim)
-    if profiler is not None:
-        profiler.attach(sim)
-
-
-def detach_instrumentation(usage=None, recorder=None, profiler=None):
-    """Finish and detach whatever ``attach_instrumentation`` installed."""
-    if recorder is not None:
-        recorder.finish()
-        recorder.unbind()
-    if usage is not None:
-        usage.finish()
-        usage.detach()
-    if profiler is not None:
-        profiler.detach()
 
 
 def closed_loop_viz_user(rt, workload, model, uid, spec, seed, stats,

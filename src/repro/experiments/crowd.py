@@ -46,10 +46,8 @@ from ..sandbox import ResourceLimits, Testbed
 from ..tunable import Configuration
 from .common import (
     FigureResult,
-    attach_instrumentation,
     build_viz_controller,
     closed_loop_viz_user,
-    detach_instrumentation,
     start_estimate_exchanges,
     sweep_cells,
     viz_initial_point,
@@ -57,7 +55,7 @@ from .common import (
 )
 from .fig6 import EXP1_COSTS, fig6a_database
 from .recovery import CHEAP_CONFIG
-from .scene import Scene
+from .scene import Instruments, Scene
 
 __all__ = [
     "build_crowd",
@@ -174,10 +172,7 @@ def build_crowd(
     users: Optional[int] = None,
     until: float = 120.0,
     n_images: Optional[int] = None,
-    recorder=None,
-    usage=None,
-    profiler=None,
-    tiebreak=None,
+    instruments: Optional[Instruments] = None,
 ) -> Scene:
     """Construct one crowd scenario without running it.
 
@@ -201,15 +196,14 @@ def build_crowd(
     preference = viz_preference()
     initial_point = viz_initial_point()
 
+    ins = instruments or Instruments()
     app = make_viz_app()
-    _scheduler, controller = build_viz_controller(
-        app, db, preference, recorder=recorder
-    )
+    _scheduler, controller = build_viz_controller(app, db, preference, ins)
     config = controller.select_initial(initial_point).config
 
     testbed = Testbed(
         host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=tiebreak,
+        seed=seed, tiebreak=ins.tiebreak,
     )
     workload = VizWorkload(n_images=n_images, costs=EXP1_COSTS, seed=seed)
     rt = app.instantiate(
@@ -286,10 +280,7 @@ def build_crowd(
                 enter_after=2, exit_after=3,
             ).start()
 
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
+    ins.attach(testbed, config)
 
     def _finalize():
         testbed.shutdown()
@@ -299,22 +290,20 @@ def build_crowd(
             workload=workload, testbed=testbed, source=source, guard=guard,
             brownout_ctl=brownout_ctl, baseline_stats=baseline_stats,
             client_ex=client_ex, server_ex=server_ex,
-            usage=usage, recorder=recorder, profiler=profiler,
         )
 
     return Scene(
         name="crowd", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, rt=rt, controller=controller, workload=workload,
-        guard=guard, brownout=brownout_ctl, crowd=source,
+        finalize=_finalize, instruments=ins, rt=rt, controller=controller,
+        workload=workload, guard=guard, brownout=brownout_ctl, crowd=source,
         client_exchange=client_ex, server_exchange=server_ex,
-        recorder=recorder, usage=usage, profiler=profiler,
     )
 
 
 def _summarize_crowd(
     scenario, seed, users, until, n_images, controller, rt, workload,
     testbed, source, guard, brownout_ctl, baseline_stats, client_ex,
-    server_ex, usage, recorder, profiler,
+    server_ex,
 ) -> Tuple[FigureResult, Dict]:
     payload: Dict = {
         "experiment": "crowd",
@@ -370,8 +359,6 @@ def _summarize_crowd(
             ),
         }
 
-    detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
-
     result = FigureResult(
         figure="Crowd",
         title=f"Aggregate-population adaptation ({scenario}, {users:,} users)",
@@ -412,25 +399,18 @@ def run_crowd(
     users: Optional[int] = None,
     until: float = 120.0,
     n_images: Optional[int] = None,
-    recorder=None,
-    usage=None,
-    profiler=None,
-    tiebreak=None,
+    instruments: Optional[Instruments] = None,
 ) -> Tuple[FigureResult, Dict]:
     """Run one crowd scenario; returns (figure, JSON-friendly payload).
 
-    ``recorder``/``usage``/``profiler`` are strictly passive, as in
-    ``run_chaos`` — the payload is byte-identical with or without them.
-    Construction, run, and summary are :func:`build_crowd` +
-    ``testbed.run`` + ``Scene.finalize``.
+    ``instruments`` is strictly passive, as in ``run_chaos`` — the payload
+    is byte-identical with or without it.  Construction, run, and summary
+    are :func:`build_crowd` + ``Scene.run``.
     """
-    scene = build_crowd(
+    return build_crowd(
         seed=seed, scenario=scenario, users=users, until=until,
-        n_images=n_images, recorder=recorder, usage=usage,
-        profiler=profiler, tiebreak=tiebreak,
-    )
-    scene.testbed.run(until=until)
-    return scene.finalize()
+        n_images=n_images, instruments=instruments,
+    ).run()
 
 
 def crowd_cell(payload: Mapping, seed: int) -> Dict:

@@ -11,7 +11,7 @@ client-side rendering dominating.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..apps.visualization import VizCosts, VizWorkload, make_viz_app
 from ..exec import AppSpec, default_engine
@@ -23,14 +23,8 @@ from ..profiling import (
 )
 from ..sandbox import ResourceLimits, Testbed
 from ..tunable import Configuration
-from .common import (
-    FigureResult,
-    attach_instrumentation,
-    build_viz_controller,
-    detach_instrumentation,
-    start_estimate_exchanges,
-)
-from .scene import Scene
+from .common import FigureResult, build_viz_controller, start_estimate_exchanges
+from .scene import Instruments, Scene
 
 __all__ = [
     "EXP3_COSTS",
@@ -68,20 +62,17 @@ def fig5_database(
     fovea_sizes: Tuple[int, ...] = FOVEA_SIZES,
     n_images: int = 2,
     seed: int = 0,
-    recorder=None,
     engine=None,
-    usage=None,
-    profiler=None,
+    instruments: Optional[Instruments] = None,
 ):
     """Profile the fovea-size configurations over the CPU-share axis.
 
     Returns (database, dims, configs) — also used by the Experiment-3
     adaptive run (Fig. 7c/d), which is how the paper uses these curves.
-    An optional :class:`repro.obs.TraceRecorder` wraps each measurement
-    in a ``profile.measure`` span; since engine workers carry no trace
-    context, the sweep engine is only consulted when no instrumentation
-    (recorder / usage accountant / kernel profiler) is set — or when
-    ``engine`` is passed explicitly.
+    ``instruments`` observe every measurement (its recorder wraps each in
+    a ``profile.measure`` span); since engine workers carry no trace
+    context, the sweep engine is only consulted without ``instruments`` —
+    or when ``engine`` is passed explicitly.
     """
     app = make_viz_app()
     dims = [
@@ -93,17 +84,15 @@ def fig5_database(
         workload="repro.experiments.fig5:exp3_workload",
         workload_kwargs={"n_images": n_images},
     )
-    if engine is None and recorder is None and usage is None and profiler is None:
+    if engine is None and instruments is None:
         engine = default_engine()
     driver = ProfilingDriver(
         app,
         dims,
         workload_factory=app_spec.build_workload_factory(),
         seed=seed,
-        recorder=recorder,
         app_spec=app_spec,
-        usage=usage,
-        profiler=profiler,
+        instruments=instruments,
     )
     configs = [
         Configuration({"dR": dr, "c": "lzw", "l": 4}) for dr in fovea_sizes
@@ -129,10 +118,7 @@ def build_fig5_session(
     n_images: int = 30,
     variations: Tuple[Tuple[float, float], ...] = DEFAULT_SESSION_VARIATIONS,
     until: float = 2000.0,
-    recorder=None,
-    usage=None,
-    profiler=None,
-    tiebreak=None,
+    instruments: Optional[Instruments] = None,
 ) -> Scene:
     """Construct one adaptive Experiment-3 session without running it.
 
@@ -160,15 +146,14 @@ def build_fig5_session(
         {"client.cpu": 0.9, "client.network": EXP3_BW}
     )
 
+    ins = instruments or Instruments()
     app = make_viz_app()
-    _scheduler, controller = build_viz_controller(
-        app, db, preference, recorder=recorder
-    )
+    _scheduler, controller = build_viz_controller(app, db, preference, ins)
     config = controller.select_initial(initial_point).config
 
     testbed = Testbed(
         host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=tiebreak,
+        seed=seed, tiebreak=ins.tiebreak,
     )
     workload = VizWorkload(n_images=n_images, costs=EXP3_COSTS, seed=seed)
     rt = app.instantiate(
@@ -180,10 +165,7 @@ def build_fig5_session(
     controller.attach(rt)
     server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
 
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
+    ins.attach(testbed, config)
 
     def vary():
         for at, share in variations:
@@ -203,20 +185,18 @@ def build_fig5_session(
             seed=seed, n_images=n_images, variations=variations,
             controller=controller, rt=rt, workload=workload, testbed=testbed,
             client_ex=client_ex, server_ex=server_ex,
-            usage=usage, recorder=recorder, profiler=profiler,
         )
 
     return Scene(
         name="fig5", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, rt=rt, controller=controller, workload=workload,
-        client_exchange=client_ex, server_exchange=server_ex,
-        recorder=recorder, usage=usage, profiler=profiler,
+        finalize=_finalize, instruments=ins, rt=rt, controller=controller,
+        workload=workload, client_exchange=client_ex, server_exchange=server_ex,
     )
 
 
 def _summarize_fig5_session(
     seed, n_images, variations, controller, rt, workload, testbed,
-    client_ex, server_ex, usage, recorder, profiler,
+    client_ex, server_ex,
 ) -> Tuple[FigureResult, Dict]:
     payload: Dict = {
         "experiment": "fig5_session",
@@ -248,7 +228,6 @@ def _summarize_fig5_session(
         },
         "total_time": workload.image_times[-1][0] if workload.image_times else 0.0,
     }
-    detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
 
     result = FigureResult(
         figure="Fig 5 session",
@@ -274,18 +253,13 @@ def run_fig5_session(
     n_images: int = 30,
     variations: Tuple[Tuple[float, float], ...] = DEFAULT_SESSION_VARIATIONS,
     until: float = 2000.0,
-    recorder=None,
-    usage=None,
-    profiler=None,
-    tiebreak=None,
+    instruments: Optional[Instruments] = None,
 ) -> Tuple[FigureResult, Dict]:
     """Run the adaptive Experiment-3 session (see :func:`build_fig5_session`)."""
-    scene = build_fig5_session(
+    return build_fig5_session(
         seed=seed, n_images=n_images, variations=variations, until=until,
-        recorder=recorder, usage=usage, profiler=profiler, tiebreak=tiebreak,
-    )
-    scene.testbed.run(until=until)
-    return scene.finalize()
+        instruments=instruments,
+    ).run()
 
 
 def run_fig5(seed: int = 0, engine=None) -> Tuple[FigureResult, FigureResult]:

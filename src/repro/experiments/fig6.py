@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..apps.visualization import VizCosts, VizWorkload, make_viz_app
 from ..exec import AppSpec, default_engine
@@ -22,6 +22,7 @@ from ..profiling import (
 )
 from ..tunable import Configuration
 from .common import FigureResult
+from .scene import Instruments
 
 __all__ = [
     "EXP1_COSTS",
@@ -61,10 +62,8 @@ def fig6a_database(
     bandwidths: Tuple[float, ...] = BANDWIDTHS,
     n_images: int = 1,
     seed: int = 0,
-    recorder=None,
     engine=None,
-    usage=None,
-    profiler=None,
+    instruments: Optional[Instruments] = None,
 ):
     """Profile {lzw, bzip2} over the client-bandwidth axis (CPU fixed)."""
     app = make_viz_app()
@@ -77,17 +76,15 @@ def fig6a_database(
         workload="repro.experiments.fig6:exp1_workload",
         workload_kwargs={"n_images": n_images},
     )
-    if engine is None and recorder is None and usage is None and profiler is None:
+    if engine is None and instruments is None:
         engine = default_engine()
     driver = ProfilingDriver(
         app,
         dims,
         workload_factory=app_spec.build_workload_factory(),
         seed=seed,
-        recorder=recorder,
         app_spec=app_spec,
-        usage=usage,
-        profiler=profiler,
+        instruments=instruments,
     )
     configs = [
         Configuration({"dR": 320, "c": codec, "l": 4}) for codec in ("lzw", "bzip2")
@@ -102,10 +99,8 @@ def fig6b_database(
     shares: Tuple[float, ...] = CPU_SHARES,
     n_images: int = 1,
     seed: int = 0,
-    recorder=None,
     engine=None,
-    usage=None,
-    profiler=None,
+    instruments: Optional[Instruments] = None,
 ):
     """Profile resolution levels {3, 4} over the CPU-share axis."""
     app = make_viz_app()
@@ -118,17 +113,15 @@ def fig6b_database(
         workload="repro.experiments.fig6:exp2_workload",
         workload_kwargs={"n_images": n_images},
     )
-    if engine is None and recorder is None and usage is None and profiler is None:
+    if engine is None and instruments is None:
         engine = default_engine()
     driver = ProfilingDriver(
         app,
         dims,
         workload_factory=app_spec.build_workload_factory(),
         seed=seed,
-        recorder=recorder,
         app_spec=app_spec,
-        usage=usage,
-        profiler=profiler,
+        instruments=instruments,
     )
     configs = [
         Configuration({"dR": 320, "c": "lzw", "l": level}) for level in (3, 4)

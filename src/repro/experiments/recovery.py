@@ -47,16 +47,14 @@ from ..sandbox import ResourceLimits, Testbed
 from ..tunable import Configuration
 from .common import (
     FigureResult,
-    attach_instrumentation,
     build_viz_controller,
     closed_loop_viz_user,
-    detach_instrumentation,
     start_estimate_exchanges,
     viz_initial_point,
     viz_preference,
 )
 from .fig6 import EXP1_COSTS, fig6a_database
-from .scene import Scene
+from .scene import Instruments, Scene
 
 __all__ = [
     "build_recovery",
@@ -107,11 +105,7 @@ def build_recovery(
     failover: bool = True,
     brownout: bool = True,
     until: float = 400.0,
-    detect_races: bool = False,
-    recorder=None,
-    usage=None,
-    tiebreak=None,
-    profiler=None,
+    instruments: Optional[Instruments] = None,
 ) -> Scene:
     """Construct the recovery scenario without running it.
 
@@ -124,10 +118,8 @@ def build_recovery(
     route, downtime still accrues) but never restarts anything — the
     unsupervised baseline the benchmark compares availability against.
     ``checkpoints=False`` forces every restart cold (warm-vs-cold MTTR).
-    ``recorder``/``usage``/``profiler``/``detect_races`` behave as in
-    ``run_chaos`` — strictly passive instrumentation.  ``tiebreak`` hands
-    same-instant tie ordering to a schedule-exploration policy (None =
-    default FIFO).
+    ``instruments`` behaves as in ``run_chaos``; its race detector also
+    watches the supervisor, failover and overload-guard state.
     """
     db, _dims, _configs = fig6a_database(seed=seed)
     plan = FaultPlan.from_spec(
@@ -137,15 +129,14 @@ def build_recovery(
     preference = viz_preference()
     initial_point = viz_initial_point()
 
+    ins = instruments or Instruments()
     app = make_viz_app()
-    _scheduler, controller = build_viz_controller(
-        app, db, preference, recorder=recorder
-    )
+    _scheduler, controller = build_viz_controller(app, db, preference, ins)
     config = controller.select_initial(initial_point).config
 
     testbed = Testbed(
         host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=tiebreak,
+        seed=seed, tiebreak=ins.tiebreak,
     )
     # The supervisor must bind before the plan installs: kill events route
     # through sim.recovery, and safe points start checkpointing immediately.
@@ -289,13 +280,8 @@ def build_recovery(
             name=f"crowd-{uid}",
         )
 
-    detector = None
-    if detect_races:
-        from ..analysis.races import RaceDetector, watch
-
-        detector = RaceDetector(testbed.sim).attach()
-        for host_name in sorted(testbed.hosts):
-            watch(detector, testbed.hosts[host_name])
+    detector = ins.attach(testbed, config).detector
+    if detector is not None:
         for label, exchange in (("client", client_ex), ("server", server_ex)):
             detector.watch_mapping(
                 exchange, "remote_estimates", f"{label}.remote_estimates"
@@ -333,11 +319,6 @@ def build_recovery(
             )
         detector.watch_calls(guard, ("admit",), "overload.guard")
 
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
-
     def _finalize():
         testbed.shutdown()
         if supervise and not rt.finished.triggered:
@@ -351,25 +332,22 @@ def build_recovery(
             controller=controller, rt=rt, workload=workload, testbed=testbed,
             guard=guard, brownout_ctl=brownout_ctl,
             member_client=member_client, member_server=member_server,
-            crowd_stats=crowd_stats, detector=detector,
-            usage=usage, recorder=recorder, profiler=profiler,
+            crowd_stats=crowd_stats, instruments=ins,
         )
 
     return Scene(
         name="recovery", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, rt=rt, controller=controller, workload=workload,
-        injector=injector, supervisor=supervisor, guard=guard,
-        brownout=brownout_ctl,
+        finalize=_finalize, instruments=ins, rt=rt, controller=controller,
+        workload=workload, injector=injector, supervisor=supervisor,
+        guard=guard, brownout=brownout_ctl,
         client_exchange=client_ex, server_exchange=server_ex,
-        recorder=recorder, usage=usage, profiler=profiler,
     )
 
 
 def _summarize_recovery(
     plan, seed, n_images, crowd, supervise, checkpoints, failover, brownout,
     supervisor, injector, controller, rt, workload, testbed, guard,
-    brownout_ctl, member_client, member_server, crowd_stats, detector,
-    usage, recorder, profiler,
+    brownout_ctl, member_client, member_server, crowd_stats, instruments,
 ) -> Tuple[FigureResult, Dict]:
     # Accounting horizon: the teardown instant when the app finished (the
     # supervisor recorded it in shutdown()); for unsupervised runs that never
@@ -440,10 +418,7 @@ def _summarize_recovery(
         "finished": bool(rt.finished.triggered),
         "total_time": workload.image_times[-1][0] if workload.image_times else 0.0,
     }
-    if detector is not None:
-        payload["races"] = [r.to_dict() for r in detector.finish()]
-        detector.detach()
-    detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
+    instruments.add_races(payload)
 
     result = FigureResult(
         figure="Recovery",
@@ -497,11 +472,7 @@ def run_recovery(
     failover: bool = True,
     brownout: bool = True,
     until: float = 400.0,
-    detect_races: bool = False,
-    recorder=None,
-    usage=None,
-    tiebreak=None,
-    profiler=None,
+    instruments: Optional[Instruments] = None,
 ) -> Tuple[FigureResult, Dict]:
     """Run the adaptive visualization app through crashes and a flash crowd.
 
@@ -509,15 +480,11 @@ def run_recovery(
     MTTR records, failover latencies, shed/served accounting, and the full
     adaptation trajectory).  Two same-seed runs produce byte-identical
     payloads.  Construction, run, and summary are :func:`build_recovery`
-    + ``testbed.run`` + ``Scene.finalize`` — see that function for the
-    mode/instrumentation knobs.
+    + ``Scene.run`` — see that function for the mode/instrumentation knobs.
     """
-    scene = build_recovery(
+    return build_recovery(
         seed=seed, n_images=n_images, fault_spec=fault_spec,
         crowd_spec=crowd_spec, supervise=supervise, checkpoints=checkpoints,
         failover=failover, brownout=brownout, until=until,
-        detect_races=detect_races, recorder=recorder, usage=usage,
-        tiebreak=tiebreak, profiler=profiler,
-    )
-    scene.testbed.run(until=until)
-    return scene.finalize()
+        instruments=instruments,
+    ).run()

@@ -31,13 +31,7 @@ from .dash import (
     render_dashboard,
 )
 from .diff import DiffResult, diff_metrics, diff_traces, structural_keys
-from .interactive import (
-    SCENARIOS,
-    InteractiveContext,
-    ScenarioInspector,
-    register_scenario,
-    replay,
-)
+from .interactive import InteractiveContext, ScenarioInspector, replay
 from .perf import KernelProfiler, to_chrome_profile, to_folded
 from .query import adaptation_chains, chain, dwell_times, timeline
 from .record import ObsError, SpanRecord, TraceRecorder
@@ -54,7 +48,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "ObsError",
-    "SCENARIOS",
     "ScenarioInspector",
     "SpanRecord",
     "TimeSeries",
@@ -72,7 +65,6 @@ __all__ = [
     "load_store_cells",
     "ordered",
     "owner_label",
-    "register_scenario",
     "render_comparison",
     "render_dashboard",
     "render_report",

@@ -31,7 +31,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from .diff import diff_metrics, diff_traces, format_key
 from .export import from_jsonl, ordered, summary, to_chrome, to_jsonl
@@ -39,61 +39,14 @@ from .query import adaptation_chains, dwell_times
 from .record import TraceRecorder
 from .usage import UsageAccountant
 
-__all__ = ["obs_main", "TRACEABLE"]
+__all__ = ["obs_main"]
 
 
-def _run_chaos(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.chaos import run_chaos
+def _run(experiment: str, seed: int, **instruments) -> object:
+    """Run a registered scenario under the given instruments."""
+    from ..experiments.scene import SCENARIOS, Instruments
 
-    run_chaos(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_recovery(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.recovery import run_recovery
-
-    run_recovery(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_crowd(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.crowd import run_crowd
-
-    run_crowd(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_fig5(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.fig5 import fig5_database
-
-    fig5_database(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_fig5sess(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.fig5 import run_fig5_session
-
-    run_fig5_session(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_fig6a(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.fig6 import fig6a_database
-
-    fig6a_database(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_fig6b(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.fig6 import fig6b_database
-
-    fig6b_database(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-#: experiment name -> runner(seed, recorder=None, usage=None, profiler=None).
-TRACEABLE: Dict[str, Callable] = {
-    "chaos": _run_chaos,
-    "recovery": _run_recovery,
-    "crowd": _run_crowd,
-    "fig5": _run_fig5,
-    "fig5sess": _run_fig5sess,
-    "fig6a": _run_fig6a,
-    "fig6b": _run_fig6b,
-}
+    return SCENARIOS[experiment].execute(seed, Instruments(**instruments))
 
 
 def _record_line(record) -> str:
@@ -340,7 +293,7 @@ def _traced_run(experiment: str, seed: int, with_usage: bool, profiler=None):
         # Share the recorder's registry so usage.* series appear in the
         # metrics snapshot (and therefore in reports and CSV exports).
         usage = UsageAccountant(metrics=recorder.metrics)
-    TRACEABLE[experiment](seed, recorder=recorder, usage=usage, profiler=profiler)
+    _run(experiment, seed, recorder=recorder, usage=usage, profiler=profiler)
     return recorder, usage
 
 
@@ -350,23 +303,16 @@ def _load_side(source: str, seed: int):
     if source.endswith(".jsonl") or path.is_file():
         records = from_jsonl(path.read_text())
         return f"{source}", records, None
-    if source not in TRACEABLE:
+    from ..experiments.scene import SCENARIOS
+
+    if source not in SCENARIOS:
         raise SystemExit(
             f"repro diff: {source!r} is neither a trace .jsonl file nor an "
-            f"experiment ({', '.join(sorted(TRACEABLE))})"
+            f"experiment ({', '.join(sorted(SCENARIOS))})"
         )
     recorder, _ = _traced_run(source, seed, with_usage=False)
     return f"{source}@seed={seed}", recorder.records, recorder.metrics.snapshot()
 
-
-#: Scenarios ``repro dash`` can run traced *with a payload* (the figure
-#: experiments that return ``(figure, payload)`` and accept instrumentation).
-_DASH_RUNNERS: Dict[str, str] = {
-    "fig5sess": "repro.experiments.fig5:run_fig5_session",
-    "chaos": "repro.experiments.chaos:run_chaos",
-    "recovery": "repro.experiments.recovery:run_recovery",
-    "crowd": "repro.experiments.crowd:run_crowd",
-}
 
 #: The built-in ``fig5-sweep`` source: a 2x2 (cpu share x fovea size)
 #: grid of Experiment-3 profiling cells run through the exec engine.
@@ -375,15 +321,11 @@ _FIG5_SWEEP_FOVEAS = (80, 160)
 
 
 def _dash_traced_cell(source: str, seed: int):
-    from importlib import import_module
-
     from .dash import dashboard_cell_from_run
 
-    module_name, _, attr = _DASH_RUNNERS[source].partition(":")
-    runner = getattr(import_module(module_name), attr)
     recorder = TraceRecorder()
     usage = UsageAccountant(metrics=recorder.metrics)
-    _fig, payload = runner(seed=seed, recorder=recorder, usage=usage)
+    _fig, payload = _run(source, seed, recorder=recorder, usage=usage)
     return dashboard_cell_from_run(
         f"{source}@seed={seed}", recorder, usage=usage, payload=payload,
         group=source, seed=seed,
@@ -438,7 +380,11 @@ def _fig5_sweep_cells(seed: int, cache: Path, jobs: int) -> List[dict]:
 
 def _dash_main(argv: List[str]) -> int:
     """Entry point for ``repro dash <sources...>`` (multi-run dashboard)."""
+    from ..experiments.scene import SCENARIOS
     from .dash import load_store_cells, render_dashboard
+
+    # Scenarios that run as one Scene, so their result carries a payload.
+    runnable = sorted(n for n, entry in SCENARIOS.items() if entry.run is None)
 
     parser = argparse.ArgumentParser(
         prog="repro dash",
@@ -448,7 +394,7 @@ def _dash_main(argv: List[str]) -> int:
         "sources", nargs="+",
         help="traced experiments (%s), 'fig5-sweep' (2x2 grid via the exec "
         "engine), or repro.exec result-store directories"
-        % ", ".join(sorted(_DASH_RUNNERS)),
+        % ", ".join(runnable),
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for every run")
     parser.add_argument(
@@ -468,7 +414,7 @@ def _dash_main(argv: List[str]) -> int:
 
     cells: List[dict] = []
     for source in args.sources:
-        if source in _DASH_RUNNERS:
+        if source in runnable:
             cells.append(_dash_traced_cell(source, args.seed))
         elif source == "fig5-sweep":
             cells.extend(_fig5_sweep_cells(args.seed, args.cache, args.jobs))
@@ -482,7 +428,7 @@ def _dash_main(argv: List[str]) -> int:
         else:
             raise SystemExit(
                 f"repro dash: {source!r} is neither a runnable scenario "
-                f"({', '.join(sorted(_DASH_RUNNERS))}), 'fig5-sweep', nor a "
+                f"({', '.join(runnable)}), 'fig5-sweep', nor a "
                 "result-store directory"
             )
     title = args.title or (
@@ -494,6 +440,8 @@ def _dash_main(argv: List[str]) -> int:
 
 def obs_main(argv: List[str]) -> int:
     """Entry point for ``repro trace|metrics|usage|diff|report|dash ...``."""
+    from ..experiments.scene import SCENARIOS
+
     mode = argv[0]  # vetted by the dispatcher
     if mode == "dash":
         return _dash_main(argv[1:])
@@ -516,7 +464,7 @@ def obs_main(argv: List[str]) -> int:
         )
     else:
         parser.add_argument(
-            "experiment", choices=sorted(TRACEABLE), help="experiment to run"
+            "experiment", choices=sorted(SCENARIOS), help="experiment to run"
         )
         parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument(
@@ -553,7 +501,8 @@ def obs_main(argv: List[str]) -> int:
         )
         parser.add_argument(
             "--perf", action="store_true",
-            help="attach a kernel profiler and add a perf section",
+            help="attach a kernel profiler and add a perf section "
+            "(single-run reports only, not with --compare)",
         )
     if mode == "perf":
         parser.add_argument(
@@ -568,6 +517,8 @@ def obs_main(argv: List[str]) -> int:
         "--out", type=Path, default=None, help="write to file instead of stdout"
     )
     args = parser.parse_args(argv[1:])
+    if mode == "report" and args.perf and args.compare is not None:
+        parser.error("--perf cannot be combined with --compare")
 
     if mode == "diff":
         seed_b = args.seed if args.seed_b is None else args.seed_b
@@ -599,7 +550,7 @@ def obs_main(argv: List[str]) -> int:
         usage = UsageAccountant(
             metrics=recorder.metrics, resolution=args.resolution
         )
-        TRACEABLE[args.experiment](args.seed, recorder=recorder, usage=usage)
+        _run(args.experiment, args.seed, recorder=recorder, usage=usage)
         if args.json:
             payload = {
                 "experiment": args.experiment,
@@ -618,7 +569,7 @@ def obs_main(argv: List[str]) -> int:
         # Full fidelity (every step observed): a one-off profile capture
         # wants exact attribution and census, not low overhead.
         profiler = KernelProfiler(full=True)
-        TRACEABLE[args.experiment](args.seed, profiler=profiler)
+        _run(args.experiment, args.seed, profiler=profiler)
         if args.flame:
             text = to_folded(profiler)
         elif args.chrome:
@@ -639,7 +590,7 @@ def obs_main(argv: List[str]) -> int:
         from .report import render_comparison, render_report
 
         profiler = None
-        if args.perf and args.compare is None:
+        if args.perf:
             from .perf import KernelProfiler
 
             profiler = KernelProfiler(full=True)
@@ -679,7 +630,7 @@ def obs_main(argv: List[str]) -> int:
         return 0
 
     recorder = TraceRecorder()
-    TRACEABLE[args.experiment](args.seed, recorder=recorder)
+    _run(args.experiment, args.seed, recorder=recorder)
 
     if mode == "metrics":
         fmt = args.format

@@ -1,8 +1,9 @@
 """Interactive inspection context: build, step, inspect, intervene.
 
 A vivarium-style REPL/notebook workflow for the adaptation loop.  An
-:class:`InteractiveContext` constructs any registered scenario through
-its ``build_<name>()`` split (see :mod:`repro.experiments.scene`), then
+:class:`InteractiveContext` constructs any steppable scenario of the
+registry (:data:`repro.experiments.scene.SCENARIOS`) through its
+``build_<name>()`` split, or any Scene-builder callable, then
 hands the simulator to the user one event — or one virtual second — at
 a time::
 
@@ -45,38 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from .record import TraceRecorder
 from .usage import UsageAccountant
 
-__all__ = [
-    "InteractiveContext",
-    "ScenarioInspector",
-    "SCENARIOS",
-    "register_scenario",
-    "replay",
-]
-
-#: Scenario name -> dotted ``module:callable`` returning a Scene.  The
-#: sweep-style figures (fig3/fig4/fig6/fig7 grids) are *not* steppable —
-#: they run many independent testbeds through the exec engine; drive
-#: those through ``repro dash`` / ``repro sweep`` instead.
-SCENARIOS: Dict[str, str] = {
-    "fig5": "repro.experiments.fig5:build_fig5_session",
-    "chaos": "repro.experiments.chaos:build_chaos",
-    "recovery": "repro.experiments.recovery:build_recovery",
-    "crowd": "repro.experiments.crowd:build_crowd",
-}
-
-
-def register_scenario(name: str, builder: str) -> None:
-    """Register a ``module:callable`` Scene builder under ``name``."""
-    if ":" not in builder:
-        raise ValueError(f"builder must be 'module:callable', got {builder!r}")
-    SCENARIOS[name] = builder
-
-
-def _resolve(ref: str) -> Callable:
-    import importlib
-
-    module_name, _, attr = ref.partition(":")
-    return getattr(importlib.import_module(module_name), attr)
+__all__ = ["InteractiveContext", "ScenarioInspector", "replay"]
 
 
 class ScenarioInspector:
@@ -126,7 +96,7 @@ class ScenarioInspector:
 
     def usage(self) -> Optional[dict]:
         """Utilization account so far (``UsageAccountant.summary()``)."""
-        accountant = self._scene.usage
+        accountant = self._scene.instruments.usage
         if accountant is None:
             return None
         return accountant.summary()
@@ -293,8 +263,9 @@ class InteractiveContext:
     Parameters
     ----------
     scenario:
-        A name from :data:`SCENARIOS` (``fig5``/``chaos``/``recovery``/
-        ``crowd``), or a Scene-builder callable.
+        A steppable name from :data:`repro.experiments.scene.SCENARIOS`
+        (``fig5``/``fig5sess``/``chaos``/``recovery``/``crowd``), or a
+        Scene-builder callable taking ``seed=`` and ``instruments=``.
     instrument:
         Attach a :class:`TraceRecorder` + :class:`UsageAccountant` (the
         same pairing ``repro trace``/``repro report`` use).  Both are
@@ -312,16 +283,19 @@ class InteractiveContext:
         instrument: bool = True,
         **kwargs: Any,
     ):
+        from ..experiments.scene import SCENARIOS, Instruments
+
         if callable(scenario):
             builder = scenario
             self.scenario = getattr(scenario, "__name__", "custom")
         else:
-            if scenario not in SCENARIOS:
+            steppable = sorted(n for n, e in SCENARIOS.items() if e.build)
+            if scenario not in steppable:
                 raise KeyError(
-                    f"unknown scenario {scenario!r}; registered: "
-                    f"{', '.join(sorted(SCENARIOS))}"
+                    f"unknown scenario {scenario!r}; steppable: "
+                    f"{', '.join(steppable)}"
                 )
-            builder = _resolve(SCENARIOS[scenario])
+            builder = SCENARIOS[scenario].builder()
             self.scenario = scenario
         self.recorder = TraceRecorder() if instrument else None
         self.usage = (
@@ -330,7 +304,9 @@ class InteractiveContext:
             else None
         )
         self.scene = builder(
-            seed=seed, recorder=self.recorder, usage=self.usage, **kwargs
+            seed=seed,
+            instruments=Instruments(recorder=self.recorder, usage=self.usage),
+            **kwargs,
         )
         self.seed = seed
         self.inspect = ScenarioInspector(self.scene)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..obs import TraceRecorder
 from ..sandbox import LimiterMode, Testbed
 from ..sim import derive_seed
 from ..tunable import Configuration, TunableApp
@@ -45,10 +44,8 @@ class ProfilingDriver:
         mode: str = LimiterMode.IDEAL,
         seed: int = 0,
         max_run_time: float = 3600.0,
-        recorder: Optional[TraceRecorder] = None,
         app_spec=None,
-        usage=None,
-        profiler=None,
+        instruments=None,
     ):
         names = [d.name for d in dims]
         if len(set(names)) != len(names):
@@ -65,23 +62,13 @@ class ProfilingDriver:
         self.mode = mode
         self.seed = seed
         self.max_run_time = max_run_time
-        #: Observability recorder; when set, every :meth:`measure` binds it
-        #: to that run's fresh testbed and wraps the run in a
-        #: ``profile.measure`` span.  Virtual time restarts at zero per
-        #: testbed, so successive run spans overlap on the time axis — the
-        #: ``run`` attr disambiguates them.
-        self.recorder = recorder
-        #: Optional :class:`repro.obs.UsageAccountant`; when set, every
-        #: :meth:`measure` attaches it to the fresh testbed and tracks its
-        #: resources, so utilization accumulates across the whole sweep
-        #: (entries rebase onto each new testbed's shares).  Not consulted
-        #: on the engine path, like the recorder.
-        self.usage = usage
-        #: Optional :class:`repro.obs.KernelProfiler`; when set, every
-        #: :meth:`measure` attaches it to the fresh testbed for the run,
-        #: so kernel cost buckets accumulate across the whole sweep.  Not
-        #: consulted on the engine path, like the recorder.
-        self.profiler = profiler
+        #: Optional :class:`repro.experiments.scene.Instruments`; every
+        #: :meth:`measure` attaches them to that run's fresh testbed, so
+        #: usage and kernel cost accumulate across the whole sweep, and a
+        #: recorder wraps each run in a ``profile.measure`` span (virtual
+        #: time restarts at zero per testbed; the ``run`` attr tells the
+        #: overlapping spans apart).  Not consulted on the engine path.
+        self.instruments = instruments
         #: Optional :class:`repro.exec.AppSpec` enabling the engine path
         #: of :meth:`profile`/:meth:`profile_adaptive` (workers must be
         #: able to rebuild the app from pure data).
@@ -91,24 +78,16 @@ class ProfilingDriver:
     def measure(self, config: Configuration, point: ResourcePoint) -> Record:
         """One controlled execution; returns the measurement record."""
         run_seed = derive_seed(self.seed, f"{config.label()}|{point.label()}")
+        ins = self.instruments
         testbed = Testbed(
             host_specs=self.app.env.host_specs(),
             link_specs=self.app.env.link_specs(),
             mode=self.mode,
             seed=run_seed,
+            tiebreak=ins.tiebreak if ins is not None else None,
         )
-        obs = self.recorder
-        usage = self.usage
-        perf = self.profiler
-        span = None
-        if perf is not None:
-            perf.attach(testbed.sim)
-        if usage is not None:
-            usage.attach(testbed.sim)
-            usage.track_testbed(testbed)
-            usage.set_config(config.label(), t=testbed.sim.now)
+        obs = ins.attach(testbed, config).recorder if ins is not None else None
         if obs is not None:
-            obs.bind(testbed.sim)
             span = obs.begin(
                 "profile.measure", cat="profiling",
                 config=config.label(), point=point.label(),
@@ -137,15 +116,9 @@ class ProfilingDriver:
         finally:
             if obs is not None:
                 obs.pop_parent()
-                if span is not None:
-                    obs.end(span, virtual_duration=testbed.sim.now)
-                obs.finish()
-                obs.unbind()
-            if usage is not None:
-                usage.finish()
-                usage.detach()
-            if perf is not None:
-                perf.detach()
+                obs.end(span, virtual_duration=testbed.sim.now)
+            if ins is not None:
+                ins.detach()
         self.runs += 1
         metrics = rt.qos.snapshot()
         if obs is not None:

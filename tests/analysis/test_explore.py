@@ -14,6 +14,7 @@ from repro.analysis.explore import (
     run_racy,
 )
 from repro.analysis.schedule import RANK_STRIDE, DemoteTiebreak, FifoTiebreak
+from repro.experiments.scene import Instruments
 from repro.sim import Simulator
 
 
@@ -22,8 +23,8 @@ from repro.sim import Simulator
 
 def test_empty_demote_policy_is_byte_identical_to_fifo():
     plain = run_racy(seed=0)
-    fifo = run_racy(seed=0, tiebreak=FifoTiebreak())
-    empty = run_racy(seed=0, tiebreak=DemoteTiebreak({}))
+    fifo = run_racy(seed=0, instruments=Instruments(tiebreak=FifoTiebreak()))
+    empty = run_racy(seed=0, instruments=Instruments(tiebreak=DemoteTiebreak({})))
     assert json.dumps(fifo, sort_keys=True) == json.dumps(plain, sort_keys=True)
     assert json.dumps(empty, sort_keys=True) == json.dumps(plain, sort_keys=True)
 
@@ -35,14 +36,14 @@ def test_demote_rank_must_be_positive():
 
 def test_demote_records_applied_directives():
     policy = DemoteTiebreak({0: 1, 999999: 2})
-    run_racy(seed=0, tiebreak=policy)
+    run_racy(seed=0, instruments=Instruments(tiebreak=policy))
     assert policy.applied == {0: 1}  # seq 999999 never enqueued
     assert policy.key(0.0, 1, 0, None) == 0 + RANK_STRIDE
 
 
 def test_observe_counts_tie_windows():
     policy = DemoteTiebreak(observe=True)
-    run_racy(seed=0, tiebreak=policy)
+    run_racy(seed=0, instruments=Instruments(tiebreak=policy))
     # The racy workload has (at least) its two same-instant write windows.
     assert policy.tie_windows() >= 2
     assert policy.events_in_ties() >= 4
@@ -119,14 +120,14 @@ def test_minimize_drops_irrelevant_flips():
 def _clean_scenario():
     """Two same-instant callbacks touching disjoint state: race-free."""
 
-    def run(tiebreak=None, detect_races=False, recorder=None):
-        sim = Simulator(tiebreak=tiebreak)
+    def run(instruments):
+        sim = Simulator(tiebreak=instruments.tiebreak)
         log = {}
         sim.schedule_callback(1.0, lambda: log.__setitem__("a", 1))
         sim.schedule_callback(1.0, lambda: log.__setitem__("b", 2))
         sim.run()
         payload = {"log": dict(sorted(log.items()))}
-        if detect_races:
+        if instruments.detect_races:
             payload["races"] = []
         return payload
 

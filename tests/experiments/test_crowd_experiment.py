@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments import crowd_cell, run_crowd
 from repro.experiments.crowd import DEFAULT_USERS
+from repro.experiments.scene import Instruments
 
 SMALL = dict(users=2_000, until=40.0, n_images=2)
 
@@ -88,8 +89,9 @@ def test_instrumentation_is_passive():
 
     _f, plain = run_crowd(seed=0, scenario="diurnal", **SMALL)
     _f, instrumented = run_crowd(
-        seed=0, scenario="diurnal", recorder=TraceRecorder(),
-        usage=UsageAccountant(), **SMALL,
+        seed=0, scenario="diurnal",
+        instruments=Instruments(recorder=TraceRecorder(), usage=UsageAccountant()),
+        **SMALL,
     )
     assert json.dumps(plain, sort_keys=True) == json.dumps(
         instrumented, sort_keys=True

@@ -126,6 +126,16 @@ def test_report_cli_compare_mode(tmp_path):
     assert "first divergence" in html.lower()
 
 
+def test_report_cli_rejects_perf_with_compare(tmp_path, capsys):
+    """--perf profiles a single run; a comparison report has no perf section."""
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "chaos", "--compare", "chaos", "--perf",
+              "--out", str(tmp_path / "cmp.html")])
+    assert exc.value.code == 2
+    assert "--perf" in capsys.readouterr().err
+    assert not (tmp_path / "cmp.html").exists()
+
+
 def test_report_cli_crowd_section(tmp_path):
     """The crowd run's report carries the per-class QoS + arrival panel."""
     out_file = tmp_path / "crowd.html"

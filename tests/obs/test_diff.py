@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.chaos import run_chaos
+from repro.experiments.scene import Instruments
 from repro.obs import (
     TraceRecorder,
     diff_metrics,
@@ -18,7 +19,7 @@ from repro.obs.record import SpanRecord
 
 def _trace(seed):
     recorder = TraceRecorder()
-    run_chaos(seed=seed, recorder=recorder)
+    run_chaos(seed=seed, instruments=Instruments(recorder=recorder))
     return recorder
 
 
@@ -159,10 +160,12 @@ def test_fig5_chrome_trace_matches_golden(request):
         PYTHONPATH=src python - <<'PY'
         import json
         from repro.experiments.fig5 import fig5_database
+        from repro.experiments.scene import Instruments
         from repro.obs import TraceRecorder, to_chrome
         r = TraceRecorder()
         fig5_database(shares=(0.4, 0.9), fovea_sizes=(80, 320),
-                      n_images=1, seed=0, recorder=r)
+                      n_images=1, seed=0,
+                      instruments=Instruments(recorder=r))
         open('tests/obs/golden/fig5_chrome.json', 'w').write(
             json.dumps(to_chrome(r.records), indent=1, sort_keys=True) + '\\n')
         PY
@@ -172,7 +175,7 @@ def test_fig5_chrome_trace_matches_golden(request):
     recorder = TraceRecorder()
     fig5_database(
         shares=(0.4, 0.9), fovea_sizes=(80, 320), n_images=1, seed=0,
-        recorder=recorder,
+        instruments=Instruments(recorder=recorder),
     )
     rendered = json.dumps(to_chrome(recorder.records), indent=1, sort_keys=True) + "\n"
     golden = request.path.parent / "golden" / "fig5_chrome.json"

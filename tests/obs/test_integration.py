@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.chaos import run_chaos
 from repro.experiments.fig6 import fig6a_database
+from repro.experiments.scene import Instruments
 from repro.obs import (
     TraceRecorder,
     adaptation_chains,
@@ -19,7 +20,7 @@ from repro.obs import (
 def traced_chaos():
     """One traced chaos run, shared by the assertions below."""
     recorder = TraceRecorder()
-    _fig, payload = run_chaos(seed=0, recorder=recorder)
+    _fig, payload = run_chaos(seed=0, instruments=Instruments(recorder=recorder))
     return recorder, payload
 
 
@@ -34,7 +35,7 @@ def test_traced_chaos_outcome_byte_identical(traced_chaos):
 def test_traced_chaos_runs_are_deterministic(traced_chaos):
     recorder, _payload = traced_chaos
     again = TraceRecorder()
-    run_chaos(seed=0, recorder=again)
+    run_chaos(seed=0, instruments=Instruments(recorder=again))
     assert to_jsonl(recorder.records) == to_jsonl(again.records)
     assert recorder.metrics.snapshot() == again.metrics.snapshot()
     assert recorder.steps == again.steps
@@ -86,7 +87,9 @@ def test_chaos_metrics_agree_with_payload(traced_chaos):
 
 def test_traced_fig6a_byte_identical_and_spanned():
     recorder = TraceRecorder()
-    db_traced, _dims, configs = fig6a_database(seed=0, recorder=recorder)
+    db_traced, _dims, configs = fig6a_database(
+        seed=0, instruments=Instruments(recorder=recorder)
+    )
     db_plain, _dims, _configs = fig6a_database(seed=0)
     for config in configs:
         for point in db_plain.points_for(config):

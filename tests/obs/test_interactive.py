@@ -12,12 +12,11 @@ import json
 
 import pytest
 
+from repro.experiments.scene import Instruments
 from repro.obs import (
     InteractiveContext,
-    SCENARIOS,
     TraceRecorder,
     UsageAccountant,
-    register_scenario,
     replay,
     to_jsonl,
 )
@@ -35,7 +34,9 @@ def _signature(recorder, usage, payload):
 def _reference(runner, seed):
     recorder = TraceRecorder()
     usage = UsageAccountant(metrics=recorder.metrics)
-    _fig, payload = runner(seed=seed, recorder=recorder, usage=usage)
+    _fig, payload = runner(
+        seed=seed, instruments=Instruments(recorder=recorder, usage=usage)
+    )
     return _signature(recorder, usage, payload)
 
 
@@ -218,14 +219,6 @@ def test_crowd_scenario_exposes_crowd_and_overload_inspectors():
     assert ctx.inspect.overload() is not None
     snap = ctx.inspect.snapshot()
     assert snap["scenario"] == "crowd" and "crowd" in snap
-
-
-def test_scenario_registry_and_errors():
-    assert set(SCENARIOS) >= {"fig5", "chaos", "recovery", "crowd"}
-    with pytest.raises(KeyError):
-        InteractiveContext("no-such-scenario")
-    with pytest.raises(ValueError):
-        register_scenario("bad", "not-a-module-colon-callable")
 
 
 def test_uninstrumented_context_still_steps_and_finishes():

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import fig5_database, run_chaos, run_recovery
+from repro.experiments.scene import Instruments
 from repro.obs import KernelProfiler, ObsError, to_chrome_profile, to_folded
 from repro.sim import Simulator
 
@@ -47,7 +48,9 @@ def spin(sim, n, name=""):
 
 def test_fig5_byte_identical_with_profiler():
     db_bare, _, _ = fig5_database(seed=0)
-    db_prof, _, _ = fig5_database(seed=0, profiler=KernelProfiler())
+    db_prof, _, _ = fig5_database(
+        seed=0, instruments=Instruments(profiler=KernelProfiler())
+    )
     assert json.dumps(db_prof.to_dict(), sort_keys=True) == json.dumps(
         db_bare.to_dict(), sort_keys=True
     )
@@ -55,13 +58,17 @@ def test_fig5_byte_identical_with_profiler():
 
 def test_chaos_byte_identical_with_profiler():
     _, bare = run_chaos(seed=0)
-    _, prof = run_chaos(seed=0, profiler=KernelProfiler(full=True))
+    _, prof = run_chaos(
+        seed=0, instruments=Instruments(profiler=KernelProfiler(full=True))
+    )
     assert json.dumps(prof, sort_keys=True) == json.dumps(bare, sort_keys=True)
 
 
 def test_recovery_byte_identical_with_profiler():
     _, bare = run_recovery(seed=0)
-    _, prof = run_recovery(seed=0, profiler=KernelProfiler())
+    _, prof = run_recovery(
+        seed=0, instruments=Instruments(profiler=KernelProfiler())
+    )
     assert json.dumps(prof, sort_keys=True) == json.dumps(bare, sort_keys=True)
 
 
@@ -70,7 +77,7 @@ def test_profile_deterministic_modulo_wall_clock():
     summaries, foldeds = [], []
     for _ in range(2):
         profiler = KernelProfiler(full=True)
-        run_chaos(seed=0, profiler=profiler)
+        run_chaos(seed=0, instruments=Instruments(profiler=profiler))
         summaries.append(profiler.summary())
         foldeds.append(to_folded(profiler))
     a, b = summaries
@@ -243,7 +250,7 @@ def test_fluid_telemetry_aggregates_per_share():
 
 def test_chaos_fluid_updates_observed():
     profiler = KernelProfiler()
-    run_chaos(seed=0, profiler=profiler)
+    run_chaos(seed=0, instruments=Instruments(profiler=profiler))
     fluid = profiler.summary()["sim"]["fluid"]
     assert fluid["updates"] > 0
     assert fluid["reschedules"] > 0

@@ -148,6 +148,24 @@ def test_task_guard_and_execution_path():
     ]
     assert [t.name for t in graph.execution_path(cfg(mode="local"))] == ["render"]
 
+    # Diamond: siblings come out in edge order, the join comes last.
+    diamond = TaskGraph(
+        [TaskSpec(n) for n in ("top", "left", "right", "bottom")],
+        edges=[("top", "right"), ("top", "left"),
+               ("left", "bottom"), ("right", "bottom")],
+    )
+    assert [t.name for t in diamond.execution_path(cfg(x=1))] == [
+        "top", "right", "left", "bottom",
+    ]
+    # Two roots: both roots first, then their children in root order.
+    two_roots = TaskGraph(
+        [TaskSpec(n) for n in ("a", "b", "c", "d")],
+        edges=[("b", "c"), ("a", "d")],
+    )
+    assert [t.name for t in two_roots.execution_path(cfg(x=1))] == [
+        "a", "b", "d", "c",
+    ]
+
 
 def test_task_graph_rejects_cycles():
     t1, t2 = TaskSpec("a"), TaskSpec("b")
