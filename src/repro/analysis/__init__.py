@@ -18,10 +18,10 @@ Three coordinated passes:
   permuted same-instant event orders (pruned by the race detector's
   conflict sets) and certify that no tie order changes the payload.
 
-``repro lint`` (see :mod:`repro.analysis.cli`) runs the static passes
-with inline-suppression and baseline workflows; ``repro check`` (see
-:mod:`repro.analysis.check_cli`) runs the explorer and the dataflow
-linter; ``docs/determinism.md`` documents every rule and its rationale.
+``repro lint`` runs the static passes with inline-suppression and
+baseline workflows; ``repro check`` runs the explorer and the dataflow
+linter (both declared in :mod:`repro.cli`); ``docs/determinism.md``
+documents every rule and its rationale.
 """
 
 from .findings import Finding, Severity, sort_findings
@@ -34,8 +34,6 @@ from .lint import (
     load_baseline,
     write_baseline,
 )
-from .cli import lint_main
-from .check_cli import check_main
 from .dataflow import DATAFLOW_RULES, flow_paths, flow_source
 from .explore import (
     ExplorationResult,
@@ -72,10 +70,8 @@ __all__ = [
     "ScheduleExplorer",
     "Severity",
     "builtin_scenarios",
-    "check_main",
     "flow_paths",
     "flow_source",
-    "lint_main",
     "lint_paths",
     "lint_source",
     "load_baseline",

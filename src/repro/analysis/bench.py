@@ -41,13 +41,11 @@ file is missing outright.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-__all__ = ["apply_updates", "bench_main", "compare_dirs", "compare_records"]
+__all__ = ["apply_updates", "compare_dirs", "compare_records", "render_report"]
 
 #: Default relative tolerance for wall-clock-derived floats.  Generous on
 #: purpose: CI machines are noisy and the exact fields carry the
@@ -211,7 +209,8 @@ def apply_updates(
     return []
 
 
-def _render(report: Dict) -> str:
+def render_report(report: Dict) -> str:
+    """The human rendering of a :func:`compare_dirs` report."""
     lines = []
     current = None
     for row in report["rows"]:
@@ -255,96 +254,3 @@ def _render(report: Dict) -> str:
                 "within --block-on exact policy"
             )
     return "\n".join(lines)
-
-
-def bench_main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Compare fresh benchmark numbers against committed baselines.",
-    )
-    sub = parser.add_subparsers(dest="command")
-    check = sub.add_parser(
-        "check", help="diff BENCH_*.json files between two directories"
-    )
-    check.add_argument(
-        "--fresh",
-        type=Path,
-        default=Path("benchmarks/out"),
-        help="directory holding freshly generated BENCH_*.json files "
-        "(default: benchmarks/out)",
-    )
-    check.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="directory holding baseline BENCH_*.json files "
-        "(default: same as --fresh, i.e. the committed copies)",
-    )
-    check.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative tolerance band for wall-clock fields "
-        f"(default {DEFAULT_TOLERANCE})",
-    )
-    check.add_argument("--json", action="store_true", help="machine-readable output")
-    check.add_argument(
-        "--block-on",
-        choices=("all", "exact"),
-        default="all",
-        help="which regressions set a failing exit code: 'all' (default) "
-        "or 'exact' (only deterministic/exact-field and structural "
-        "regressions block; wall-clock band drift is advisory)",
-    )
-    check.add_argument(
-        "--out", type=Path, default=None,
-        help="also write the JSON comparison report to this file",
-    )
-    check.add_argument(
-        "--update", action="append", metavar="NAME", default=None,
-        help="accept the fresh numbers of this benchmark as the new "
-        "baseline ('sim' means BENCH_sim.json; repeatable): its drift "
-        "is reported but never blocks, and the fresh record is copied "
-        "over the baseline copy",
-    )
-    args = parser.parse_args(argv)
-
-    if args.command != "check":
-        parser.print_help()
-        return 2
-
-    baseline_dir = args.baseline if args.baseline is not None else args.fresh
-    for label, path in (("fresh", args.fresh), ("baseline", baseline_dir)):
-        if not path.is_dir():
-            print(f"repro bench check: no such {label} directory: {path}",
-                  file=sys.stderr)
-            return 2
-
-    report = compare_dirs(args.fresh, baseline_dir, tolerance=args.tolerance)
-    report["block_on"] = args.block_on
-    if args.update:
-        errors = apply_updates(report, args.update, args.fresh, baseline_dir)
-        if errors:
-            for error in errors:
-                print(f"repro bench check: {error}", file=sys.stderr)
-            return 2
-    if not report["benchmarks"]:
-        print(
-            f"repro bench check: no BENCH_*.json files under {args.fresh} "
-            f"or {baseline_dir}",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    if args.json:
-        print(json.dumps(report, indent=1, sort_keys=True))
-    else:
-        print(_render(report))
-    blocking = (
-        report["regressions"] if args.block_on == "all"
-        else report["exact_regressions"]
-    )
-    return 0 if not blocking else 1

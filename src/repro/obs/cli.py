@@ -1,48 +1,40 @@
-"""Observability CLI: trace, metrics, usage, diff, and report.
+"""Run and render helpers behind ``repro trace|metrics|usage|perf|diff|report|dash``.
 
-Runs a traced experiment and renders what the recorder captured::
-
-    python -m repro.cli trace chaos              # human-readable timeline
-    python -m repro.cli trace chaos --json       # JSONL span records
-    python -m repro.cli trace chaos --chrome     # chrome://tracing JSON
-    python -m repro.cli metrics fig6a            # metrics table
-    python -m repro.cli metrics chaos --json     # metrics snapshot JSON
-    python -m repro.cli metrics chaos --format csv   # deterministic CSV
-    python -m repro.cli usage chaos              # where the resources went
-    python -m repro.cli diff chaos chaos --seed-b 1  # first divergence
-    python -m repro.cli diff a.jsonl b.jsonl     # diff two trace exports
-    python -m repro.cli report chaos --out report.html
-    python -m repro.cli report chaos --compare chaos --seed-b 1
-    python -m repro.cli perf chaos              # kernel cost buckets
-    python -m repro.cli perf chaos --flame      # collapsed-stack folded
-    python -m repro.cli perf fig5 --json        # full profile summary
-    python -m repro.cli dash fig5-sweep chaos recovery --out fleet.html
-
-Everything printed is a pure function of ``(experiment, seed)``: traced
-runs are byte-identical to untraced ones, and the trace itself is
-deterministic (see ``docs/observability.md``).
+Every renderer is a pure function of ``(experiment, seed)``: traced runs
+are byte-identical to untraced ones, and the trace itself is
+deterministic (see ``docs/observability.md``).  The commands themselves
+are declared in :mod:`repro.cli`.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
-import json
-import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .diff import diff_metrics, diff_traces, format_key
-from .export import from_jsonl, ordered, summary, to_chrome, to_jsonl
+from .diff import format_key
+from .export import ordered
 from .query import adaptation_chains, dwell_times
 from .record import TraceRecorder
 from .usage import UsageAccountant
 
-__all__ = ["obs_main"]
+__all__ = [
+    "dash_traced_cell",
+    "fig5_sweep_cells",
+    "metrics_csv",
+    "render_diff",
+    "render_metrics",
+    "render_perf",
+    "render_timeline",
+    "render_usage",
+    "run",
+    "traced_run",
+    "write_or_print",
+]
 
 
-def _run(experiment: str, seed: int, **instruments) -> object:
+def run(experiment: str, seed: int, **instruments) -> object:
     """Run a registered scenario under the given instruments."""
     from ..experiments.scene import SCENARIOS, Instruments
 
@@ -64,7 +56,7 @@ def _record_line(record) -> str:
     return f"{when} #{record.sid}{parent} {record.cat}/{record.name}{proc}{attrs}"
 
 
-def _render_timeline(recorder: TraceRecorder, limit: Optional[int]) -> str:
+def render_timeline(recorder: TraceRecorder, limit: Optional[int]) -> str:
     lines = []
     records = ordered(recorder.records)
     shown = records if limit is None else records[:limit]
@@ -88,7 +80,7 @@ def _render_timeline(recorder: TraceRecorder, limit: Optional[int]) -> str:
     return "\n".join(lines)
 
 
-def _render_metrics(recorder: TraceRecorder) -> str:
+def render_metrics(recorder: TraceRecorder) -> str:
     lines = [f"== metrics: {len(recorder.metrics)} ==\n"]
     for name, payload in recorder.metrics.snapshot().items():
         kind = payload["kind"]
@@ -119,7 +111,7 @@ def _render_metrics(recorder: TraceRecorder) -> str:
     return "\n".join(lines)
 
 
-def _metrics_csv(snapshot: dict) -> str:
+def metrics_csv(snapshot: dict) -> str:
     """Long-format CSV with a fixed, deterministic column and row order.
 
     Columns are always ``name,kind,field,t,value``; rows are ordered by
@@ -150,7 +142,7 @@ def _metrics_csv(snapshot: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _render_usage(usage: UsageAccountant) -> str:
+def render_usage(usage: UsageAccountant) -> str:
     s = usage.summary()
     lines = [
         f"== usage account: {len(s['resources'])} resources, "
@@ -179,7 +171,7 @@ def _render_usage(usage: UsageAccountant) -> str:
     return "\n".join(lines)
 
 
-def _render_perf(profiler, experiment: str, seed: int) -> str:
+def render_perf(profiler, experiment: str, seed: int) -> str:
     s = profiler.summary()
     sim, wall = s["sim"], s["wall"]
     lines = [
@@ -228,7 +220,7 @@ def _render_perf(profiler, experiment: str, seed: int) -> str:
     return "\n".join(lines)
 
 
-def _render_diff(result, metrics_delta: Optional[dict]) -> str:
+def render_diff(result, metrics_delta: Optional[dict]) -> str:
     lines = []
     if result.identical and (metrics_delta is None or metrics_delta["identical"]):
         lines.append(
@@ -276,7 +268,7 @@ def _render_diff(result, metrics_delta: Optional[dict]) -> str:
     return "\n".join(lines)
 
 
-def _write_or_print(text: str, out: Optional[Path]) -> None:
+def write_or_print(text: str, out: Optional[Path]) -> None:
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text + ("" if text.endswith("\n") else "\n"))
@@ -285,7 +277,7 @@ def _write_or_print(text: str, out: Optional[Path]) -> None:
         print(text)
 
 
-def _traced_run(experiment: str, seed: int, with_usage: bool, profiler=None):
+def traced_run(experiment: str, seed: int, with_usage: bool, profiler=None):
     """Run one experiment traced (and optionally usage-accounted)."""
     recorder = TraceRecorder()
     usage = None
@@ -293,25 +285,8 @@ def _traced_run(experiment: str, seed: int, with_usage: bool, profiler=None):
         # Share the recorder's registry so usage.* series appear in the
         # metrics snapshot (and therefore in reports and CSV exports).
         usage = UsageAccountant(metrics=recorder.metrics)
-    _run(experiment, seed, recorder=recorder, usage=usage, profiler=profiler)
+    run(experiment, seed, recorder=recorder, usage=usage, profiler=profiler)
     return recorder, usage
-
-
-def _load_side(source: str, seed: int):
-    """A diff operand: a trace-JSONL path, or an experiment to run."""
-    path = Path(source)
-    if source.endswith(".jsonl") or path.is_file():
-        records = from_jsonl(path.read_text())
-        return f"{source}", records, None
-    from ..experiments.scene import SCENARIOS
-
-    if source not in SCENARIOS:
-        raise SystemExit(
-            f"repro diff: {source!r} is neither a trace .jsonl file nor an "
-            f"experiment ({', '.join(sorted(SCENARIOS))})"
-        )
-    recorder, _ = _traced_run(source, seed, with_usage=False)
-    return f"{source}@seed={seed}", recorder.records, recorder.metrics.snapshot()
 
 
 #: The built-in ``fig5-sweep`` source: a 2x2 (cpu share x fovea size)
@@ -320,19 +295,19 @@ _FIG5_SWEEP_SHARES = (0.4, 0.9)
 _FIG5_SWEEP_FOVEAS = (80, 160)
 
 
-def _dash_traced_cell(source: str, seed: int):
+def dash_traced_cell(source: str, seed: int):
     from .dash import dashboard_cell_from_run
 
     recorder = TraceRecorder()
     usage = UsageAccountant(metrics=recorder.metrics)
-    _fig, payload = _run(source, seed, recorder=recorder, usage=usage)
+    _fig, payload = run(source, seed, recorder=recorder, usage=usage)
     return dashboard_cell_from_run(
         f"{source}@seed={seed}", recorder, usage=usage, payload=payload,
         group=source, seed=seed,
     )
 
 
-def _fig5_sweep_cells(seed: int, cache: Path, jobs: int) -> List[dict]:
+def fig5_sweep_cells(seed: int, cache: Path, jobs: int) -> List[dict]:
     """The 2x2 fig5 sweep as result-store cells (cache-backed, parallel)."""
     from ..exec import AppSpec, JobSpec, ResultStore, SweepEngine
     from ..exec.profile_jobs import app_spec_payload
@@ -376,289 +351,3 @@ def _fig5_sweep_cells(seed: int, cache: Path, jobs: int) -> List[dict]:
         )
         for label, spec in zip(labels, specs)
     ]
-
-
-def _dash_main(argv: List[str]) -> int:
-    """Entry point for ``repro dash <sources...>`` (multi-run dashboard)."""
-    from ..experiments.scene import SCENARIOS
-    from .dash import load_store_cells, render_dashboard
-
-    # Scenarios that run as one Scene, so their result carries a payload.
-    runnable = sorted(n for n, entry in SCENARIOS.items() if entry.run is None)
-
-    parser = argparse.ArgumentParser(
-        prog="repro dash",
-        description="Aggregate N runs/cells into one fleet-dashboard HTML page.",
-    )
-    parser.add_argument(
-        "sources", nargs="+",
-        help="traced experiments (%s), 'fig5-sweep' (2x2 grid via the exec "
-        "engine), or repro.exec result-store directories"
-        % ", ".join(runnable),
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed for every run")
-    parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker processes for the fig5-sweep source",
-    )
-    parser.add_argument(
-        "--cache", type=Path, default=Path(".repro_cache/dash"),
-        help="result-store directory backing the fig5-sweep source",
-    )
-    parser.add_argument("--title", default=None, help="page title")
-    parser.add_argument(
-        "--out", type=Path, default=Path("fleet_dashboard.html"),
-        help="output HTML file",
-    )
-    args = parser.parse_args(argv)
-
-    cells: List[dict] = []
-    for source in args.sources:
-        if source in runnable:
-            cells.append(_dash_traced_cell(source, args.seed))
-        elif source == "fig5-sweep":
-            cells.extend(_fig5_sweep_cells(args.seed, args.cache, args.jobs))
-        elif Path(source).is_dir():
-            store_cells = load_store_cells(source)
-            if not store_cells:
-                raise SystemExit(
-                    f"repro dash: no result-store entries under {source!r}"
-                )
-            cells.extend(store_cells)
-        else:
-            raise SystemExit(
-                f"repro dash: {source!r} is neither a runnable scenario "
-                f"({', '.join(runnable)}), 'fig5-sweep', nor a "
-                "result-store directory"
-            )
-    title = args.title or (
-        f"repro fleet dashboard: {', '.join(args.sources)} (seed {args.seed})"
-    )
-    _write_or_print(render_dashboard(cells, title=title), args.out)
-    return 0
-
-
-def obs_main(argv: List[str]) -> int:
-    """Entry point for ``repro trace|metrics|usage|diff|report|dash ...``."""
-    from ..experiments.scene import SCENARIOS
-
-    mode = argv[0]  # vetted by the dispatcher
-    if mode == "dash":
-        return _dash_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog=f"repro {mode}",
-        description="Run an experiment with tracing and render the result.",
-    )
-    if mode == "diff":
-        parser.add_argument(
-            "a", help="experiment name or trace .jsonl file (run A)"
-        )
-        parser.add_argument(
-            "b", help="experiment name or trace .jsonl file (run B)"
-        )
-        parser.add_argument(
-            "--seed", type=int, default=0, help="seed for run A (and B unless --seed-b)"
-        )
-        parser.add_argument(
-            "--seed-b", type=int, default=None, help="seed for run B"
-        )
-    else:
-        parser.add_argument(
-            "experiment", choices=sorted(SCENARIOS), help="experiment to run"
-        )
-        parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--json", action="store_true",
-        help="machine-readable JSON instead of the human rendering",
-    )
-    if mode == "trace":
-        parser.add_argument(
-            "--chrome", action="store_true",
-            help="chrome://tracing / Perfetto trace_event JSON",
-        )
-        parser.add_argument(
-            "--limit", type=int, default=40,
-            help="max timeline rows in human output (0 = all)",
-        )
-    if mode == "metrics":
-        parser.add_argument(
-            "--format", choices=("table", "csv", "json"), default="table",
-            help="output format (csv columns/rows are deterministic)",
-        )
-    if mode == "usage":
-        parser.add_argument(
-            "--resolution", type=float, default=1.0,
-            help="virtual-time resolution of the utilization series",
-        )
-    if mode == "report":
-        parser.add_argument(
-            "--compare", default=None, metavar="B",
-            help="second experiment (or trace .jsonl) for a comparison report",
-        )
-        parser.add_argument(
-            "--seed-b", type=int, default=None,
-            help="seed for the comparison run (defaults to --seed)",
-        )
-        parser.add_argument(
-            "--perf", action="store_true",
-            help="attach a kernel profiler and add a perf section "
-            "(single-run reports only, not with --compare)",
-        )
-    if mode == "perf":
-        parser.add_argument(
-            "--flame", action="store_true",
-            help="collapsed-stack folded output for flamegraph tools",
-        )
-        parser.add_argument(
-            "--chrome", action="store_true",
-            help="chrome://tracing flame-chart JSON of the cost buckets",
-        )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="write to file instead of stdout"
-    )
-    args = parser.parse_args(argv[1:])
-    if mode == "report" and args.perf and args.compare is not None:
-        parser.error("--perf cannot be combined with --compare")
-
-    if mode == "diff":
-        seed_b = args.seed if args.seed_b is None else args.seed_b
-        label_a, records_a, snap_a = _load_side(args.a, args.seed)
-        label_b, records_b, snap_b = _load_side(args.b, seed_b)
-        result = diff_traces(records_a, records_b)
-        metrics_delta = (
-            diff_metrics(snap_a, snap_b)
-            if snap_a is not None and snap_b is not None
-            else None
-        )
-        if args.json:
-            payload = {"a": label_a, "b": label_b, **result.to_dict()}
-            if metrics_delta is not None:
-                payload["metrics"] = metrics_delta
-            text = json.dumps(payload, indent=1, sort_keys=True)
-        else:
-            text = f"A: {label_a}\nB: {label_b}\n" + _render_diff(
-                result, metrics_delta
-            )
-        _write_or_print(text, args.out)
-        identical = result.identical and (
-            metrics_delta is None or metrics_delta["identical"]
-        )
-        return 0 if identical else 1
-
-    if mode == "usage":
-        recorder = TraceRecorder()
-        usage = UsageAccountant(
-            metrics=recorder.metrics, resolution=args.resolution
-        )
-        _run(args.experiment, args.seed, recorder=recorder, usage=usage)
-        if args.json:
-            payload = {
-                "experiment": args.experiment,
-                "seed": args.seed,
-                "usage": usage.summary(),
-            }
-            text = json.dumps(payload, indent=1, sort_keys=True)
-        else:
-            text = _render_usage(usage)
-        _write_or_print(text, args.out)
-        return 0
-
-    if mode == "perf":
-        from .perf import KernelProfiler, to_chrome_profile, to_folded
-
-        # Full fidelity (every step observed): a one-off profile capture
-        # wants exact attribution and census, not low overhead.
-        profiler = KernelProfiler(full=True)
-        _run(args.experiment, args.seed, profiler=profiler)
-        if args.flame:
-            text = to_folded(profiler)
-        elif args.chrome:
-            text = json.dumps(to_chrome_profile(profiler), sort_keys=True)
-        elif args.json:
-            payload = {
-                "experiment": args.experiment,
-                "seed": args.seed,
-                "perf": profiler.summary(),
-            }
-            text = json.dumps(payload, indent=1, sort_keys=True)
-        else:
-            text = _render_perf(profiler, args.experiment, args.seed)
-        _write_or_print(text, args.out)
-        return 0
-
-    if mode == "report":
-        from .report import render_comparison, render_report
-
-        profiler = None
-        if args.perf:
-            from .perf import KernelProfiler
-
-            profiler = KernelProfiler(full=True)
-        recorder, usage = _traced_run(
-            args.experiment, args.seed, with_usage=True, profiler=profiler
-        )
-        if args.compare is None:
-            text = render_report(
-                recorder.records,
-                recorder.metrics.snapshot(),
-                title=f"repro report: {args.experiment} (seed {args.seed})",
-                usage_summary=usage.summary(),
-                perf_summary=(
-                    profiler.summary() if profiler is not None else None
-                ),
-            )
-        else:
-            seed_b = args.seed if args.seed_b is None else args.seed_b
-            label_b, records_b, snap_b = _load_side(args.compare, seed_b)
-            result = diff_traces(recorder.records, records_b)
-            metrics_delta = diff_metrics(
-                recorder.metrics.snapshot(), snap_b if snap_b is not None else {}
-            ) if snap_b is not None else {"identical": result.identical,
-                                          "only_a": [], "only_b": [],
-                                          "changed": {}}
-            text = render_comparison(
-                f"{args.experiment}@seed={args.seed}",
-                label_b,
-                result,
-                metrics_delta,
-                title=f"repro report: {args.experiment} vs {args.compare}",
-            )
-        out = args.out
-        if out is None:
-            out = Path(f"report_{args.experiment}.html")
-        _write_or_print(text, out)
-        return 0
-
-    recorder = TraceRecorder()
-    _run(args.experiment, args.seed, recorder=recorder)
-
-    if mode == "metrics":
-        fmt = args.format
-        if args.json:
-            fmt = "json"
-        if fmt == "json":
-            payload = {
-                "experiment": args.experiment,
-                "seed": args.seed,
-                "metrics": recorder.metrics.snapshot(),
-                "summary": summary(recorder.records),
-            }
-            text = json.dumps(payload, indent=1, sort_keys=True)
-        elif fmt == "csv":
-            text = _metrics_csv(recorder.metrics.snapshot())
-        else:
-            text = _render_metrics(recorder)
-    elif args.chrome:
-        text = json.dumps(to_chrome(recorder.records), sort_keys=True)
-    elif args.json:
-        text = to_jsonl(recorder.records)
-    else:
-        text = _render_timeline(
-            recorder, None if args.limit == 0 else args.limit
-        )
-    _write_or_print(text, args.out)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via repro.cli
-    sys.exit(obs_main(sys.argv[1:]))

@@ -7,10 +7,10 @@ import pytest
 
 from repro.analysis.bench import (
     _bench_filename,
-    bench_main,
     compare_dirs,
     compare_records,
 )
+from repro.cli import main
 
 BASELINE = {
     "bytes_identical": True,   # bool -> exact
@@ -88,8 +88,8 @@ def test_block_on_policy_sets_exit_code(tmp_path, capsys,
     fresh_dir, base_dir = write_pair(
         tmp_path, dict(BASELINE, **fresh_overrides), BASELINE
     )
-    rc = bench_main([
-        "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
+    rc = main([
+        "bench", "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
         "--block-on", block_on,
     ])
     capsys.readouterr()
@@ -101,8 +101,8 @@ def test_json_report_records_the_policy(tmp_path, capsys):
         tmp_path, dict(BASELINE, wall_time_s=2.0), BASELINE
     )
     out = tmp_path / "report.json"
-    rc = bench_main([
-        "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
+    rc = main([
+        "bench", "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
         "--block-on", "exact", "--json", "--out", str(out),
     ])
     capsys.readouterr()
@@ -119,8 +119,8 @@ def test_missing_benchmark_file_blocks_under_exact(tmp_path, capsys):
     fresh_dir.mkdir()
     base_dir.mkdir()
     (base_dir / "BENCH_x.json").write_text(json.dumps(BASELINE))
-    rc = bench_main([
-        "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
+    rc = main([
+        "bench", "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
         "--block-on", "exact",
     ])
     capsys.readouterr()
@@ -139,8 +139,8 @@ def test_update_accepts_drift_and_rewrites_baseline(tmp_path, capsys):
     fresh = dict(BASELINE, cells=23, wall_time_s=2.0)
     fresh_dir, base_dir = write_pair(tmp_path, fresh, BASELINE)
     out = tmp_path / "report.json"
-    rc = bench_main([
-        "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
+    rc = main([
+        "bench", "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
         "--update", "x", "--json", "--out", str(out),
     ])
     capsys.readouterr()
@@ -161,8 +161,8 @@ def test_update_only_unblocks_the_named_benchmark(tmp_path, capsys):
     )
     (fresh_dir / "BENCH_y.json").write_text(json.dumps({"cells": 9}))
     (base_dir / "BENCH_y.json").write_text(json.dumps({"cells": 10}))
-    rc = bench_main([
-        "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
+    rc = main([
+        "bench", "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
         "--update", "y",
     ])
     capsys.readouterr()
@@ -174,8 +174,8 @@ def test_update_only_unblocks_the_named_benchmark(tmp_path, capsys):
 
 def test_update_missing_fresh_record_is_usage_error(tmp_path, capsys):
     fresh_dir, base_dir = write_pair(tmp_path, BASELINE, BASELINE)
-    rc = bench_main([
-        "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
+    rc = main([
+        "bench", "check", "--fresh", str(fresh_dir), "--baseline", str(base_dir),
         "--update", "nope",
     ])
     err = capsys.readouterr().err
@@ -189,7 +189,7 @@ def test_update_with_shared_fresh_and_baseline_dir(tmp_path, capsys):
     d = tmp_path / "out"
     d.mkdir()
     (d / "BENCH_x.json").write_text(json.dumps(BASELINE))
-    rc = bench_main(["check", "--fresh", str(d), "--update", "x"])
+    rc = main(["bench", "check", "--fresh", str(d), "--update", "x"])
     capsys.readouterr()
     assert rc == 0
     assert json.loads((d / "BENCH_x.json").read_text()) == BASELINE

@@ -10,7 +10,6 @@ from repro.analysis import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.cli import lint_main
 from repro.cli import main as repro_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -107,14 +106,14 @@ def test_parse_error_is_a_finding_not_a_crash(tmp_path):
 def test_cli_exit_zero_on_clean_tree(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text(CLEAN)
-    assert lint_main([str(tmp_path / "mod.py")]) == 0
+    assert repro_main(["lint", str(tmp_path / "mod.py")]) == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_cli_exit_one_on_findings(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text(BAD)
-    assert lint_main([str(tmp_path / "mod.py")]) == 1
+    assert repro_main(["lint", str(tmp_path / "mod.py")]) == 1
     out = capsys.readouterr().out
     assert "DET101" in out and "sim.now" in out  # rule id + fix hint
 
@@ -122,14 +121,14 @@ def test_cli_exit_one_on_findings(tmp_path, monkeypatch, capsys):
 def test_cli_exit_two_on_usage_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text(CLEAN)
-    assert lint_main([str(tmp_path / "missing.py")]) == 2
-    assert lint_main(["--rules", "DET999", str(tmp_path / "mod.py")]) == 2
+    assert repro_main(["lint", str(tmp_path / "missing.py")]) == 2
+    assert repro_main(["lint", "--rules", "DET999", str(tmp_path / "mod.py")]) == 2
 
 
 def test_cli_json_report(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text(BAD)
-    assert lint_main(["--json", str(tmp_path / "mod.py")]) == 1
+    assert repro_main(["lint", "--json", str(tmp_path / "mod.py")]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["clean"] is False
     assert report["files_checked"] == 1
@@ -139,25 +138,25 @@ def test_cli_json_report(tmp_path, monkeypatch, capsys):
 def test_cli_rules_filter(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text(BAD)
-    assert lint_main(["--rules", "SIM101", str(tmp_path / "mod.py")]) == 0
+    assert repro_main(["lint", "--rules", "SIM101", str(tmp_path / "mod.py")]) == 0
     capsys.readouterr()
 
 
 def test_cli_write_baseline_roundtrip(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text(BAD)
-    assert lint_main(["--write-baseline", str(tmp_path / "mod.py")]) == 0
+    assert repro_main(["lint", "--write-baseline", str(tmp_path / "mod.py")]) == 0
     # The checked-in default baseline now covers the finding.
-    assert lint_main([str(tmp_path / "mod.py")]) == 0
+    assert repro_main(["lint", str(tmp_path / "mod.py")]) == 0
     capsys.readouterr()
 
 
 def test_cli_stale_baseline_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text(BAD)
-    assert lint_main(["--write-baseline", str(tmp_path / "mod.py")]) == 0
+    assert repro_main(["lint", "--write-baseline", str(tmp_path / "mod.py")]) == 0
     (tmp_path / "mod.py").write_text(CLEAN)
-    assert lint_main([str(tmp_path / "mod.py")]) == 1
+    assert repro_main(["lint", str(tmp_path / "mod.py")]) == 1
     assert "stale baseline entry" in capsys.readouterr().out
 
 
@@ -169,7 +168,7 @@ def test_repro_cli_dispatches_lint(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_list_rules(capsys):
-    assert lint_main(["--list-rules"]) == 0
+    assert repro_main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("DET101", "DET203", "SIM104"):
         assert rule_id in out

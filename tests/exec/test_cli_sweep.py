@@ -46,6 +46,26 @@ def test_sweep_rejects_bad_jobs(tmp_path):
         main(["sweep", "nosuchapp"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig3a", "--no-plot", "--jobs", "0"],
+        ["fig3a", "--no-plot", "--jobs", "-2"],
+        ["sweep", "toy", "--jobs", "0"],
+        ["dash", "fig5-sweep", "--jobs", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_jobs_must_be_positive(argv, tmp_path, monkeypatch, capsys):
+    """Every command's --jobs rejects N < 1 as a usage error before running."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--jobs: must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_figures_accept_cache_flags_and_restore_default(tmp_path, capsys):
     from repro.exec import default_engine
     from repro.exec.engine import SweepEngine

@@ -147,3 +147,24 @@ def test_report_cli_crowd_section(tmp_path):
     assert "crowd.free.rate" in html
     assert "crowd.premium.rate" in html
     assert "QoS satisfaction" in html
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "chaos", "nosuch"],
+        ["diff", "missing.jsonl", "chaos"],
+        ["report", "chaos", "--compare", "missing.jsonl", "--out", "cmp.html"],
+        ["dash", "nosuch", "--out", "dash.html"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_exit_two_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    """An unknown source or a missing trace file is a usage error (exit 2),
+    not the "runs diverge" exit 1, and prints one line, no traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir()), "a usage error writes no output file"

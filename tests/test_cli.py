@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.cli import CANONICAL, TARGETS, main
+import repro.cli
+from repro.cli import CANONICAL, TARGETS, build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_list_targets(capsys):
@@ -56,3 +63,68 @@ def test_duplicate_aliases_run_once(capsys):
     # each figure header appears exactly once.
     assert out.count("== Fig 5a:") == 1
     assert out.count("== Fig 5b:") == 1
+
+
+def _command_paths(parser, prefix=()):
+    """Every command path of the table, nested ones included, once each."""
+    seen = set()
+    for action in parser._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        for name, sub in action.choices.items():
+            if id(sub) not in seen:
+                seen.add(id(sub))
+                yield prefix + (name,)
+                yield from _command_paths(sub, prefix + (name,))
+
+
+def test_command_table_covers_every_command():
+    paths = {" ".join(path) for path in _command_paths(build_parser())}
+    assert paths == {
+        "all", "trace", "metrics", "usage", "perf", "diff", "report", "dash",
+        "sweep", "lint", "check", "check explore", "check flow", "bench",
+        "bench check",
+    }
+
+
+@pytest.mark.parametrize(
+    "path", sorted(_command_paths(build_parser())), ids=" ".join
+)
+def test_every_command_has_help(path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: repro")
+
+
+def _documented_invocations():
+    """(where, argv) for each ``python -m repro.cli ...`` line in the docs."""
+    sources = [
+        REPO_ROOT / "README.md",
+        *sorted((REPO_ROOT / "docs").glob("*.md")),
+        Path(repro.cli.__file__),
+    ]
+    for path in sources:
+        lines = path.read_text().splitlines()
+        for lineno, line in enumerate(lines, 1):
+            end = lineno
+            while line.rstrip().endswith("\\") and end < len(lines):
+                line = line.rstrip()[:-1] + " " + lines[end]
+                end += 1
+            for match in re.finditer(r"python -m repro\.cli\b([^`'\"\n]*)", line):
+                argv = shlex.split(match.group(1), comments=True)
+                yield f"{path.name}:{lineno}", argv
+
+
+DOCUMENTED = list(_documented_invocations())
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv in DOCUMENTED], ids=[w for w, _ in DOCUMENTED]
+)
+def test_documented_invocations_parse(argv):
+    """Every command line in README.md, docs/ and the usage docstring is valid."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"documented command does not parse: repro {shlex.join(argv)}")
