@@ -183,11 +183,16 @@ class CrowdSource:
     def stats(self) -> Dict[str, Dict[str, float]]:
         """Cumulative per-class tallies (plain ints/floats, sorted keys)."""
         out: Dict[str, Dict[str, float]] = {}
-        for i, c in enumerate(self.classes):
-            row = {name: int(self._cols[i, j]) for j, name in enumerate(_COLUMNS)}
+        # One ``tolist()`` per array: plain Python ints/floats, equal to
+        # the per-cell ``int()``/``float()`` reads.
+        for c, counts, resp_sum, resp_max in zip(
+            self.classes, self._cols.tolist(), self._resp_sum.tolist(),
+            self._resp_max.tolist(),
+        ):
+            row: Dict[str, float] = dict(zip(_COLUMNS, counts))
             served = row["served"]
-            row["resp_mean"] = float(self._resp_sum[i]) / served if served else 0.0
-            row["resp_max"] = float(self._resp_max[i])
+            row["resp_mean"] = resp_sum / served if served else 0.0
+            row["resp_max"] = resp_max
             out[c.name] = row
         return out
 

@@ -20,7 +20,7 @@ when an estimate leaves the current decision's validity region.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sandbox import Sandbox
 from ..sim import Process, Simulator
@@ -85,6 +85,12 @@ class MonitoringAgent:
     ):
         if period <= 0:
             raise ValueError(f"period must be positive, got {period!r}")
+        if window <= 0:
+            raise ValueError(f"window must be positive, got {window!r}")
+        if hysteresis < 0:
+            raise ValueError(f"hysteresis must be non-negative, got {hysteresis!r}")
+        if cooldown < 0:
+            raise ValueError(f"cooldown must be non-negative, got {cooldown!r}")
         self.rt = rt
         self.sim: Simulator = rt.sim
         self.watch = list(watch)
@@ -111,13 +117,18 @@ class MonitoringAgent:
         self._cpu_anchor: Dict[str, Tuple[float, float]] = {}
         self._crowd_anchor: Dict[str, Tuple[float, float, float]] = {}
         self._net_seen: Dict[str, int] = {}
+        #: Memo of ``str.partition(".")`` for watch entries and crowd
+        #: sub-resources; pure, so it survives any change to ``watch``.
+        self._split: Dict[str, Tuple[str, str, str]] = {}
+        #: network/disk resource -> its ``_net_seen`` keys, one per log.
+        self._log_keys: Dict[str, Tuple[str, ...]] = {}
         self._last_trigger = -float("inf")
         self._stopped = False
         self.violations = 0
         self.process: Optional[Process] = None
         #: Cached (recorder, samples-counter) pair for the hot _run loop.
-        self._obs_seen = None
-        self._samples_counter = None
+        self._obs_seen: Any = None
+        self._samples_counter: Any = None
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "MonitoringAgent":
@@ -156,7 +167,7 @@ class MonitoringAgent:
             "watch": list(self.watch),
             "conditions": {r: list(b) for r, b in self.conditions.items()},
             "histories": {
-                r: [list(s) for s in h._samples]
+                r: [[t, v] for t, v in h.samples()]
                 for r, h in sorted(self._histories.items())
             },
             "cpu_anchor": {r: list(a) for r, a in self._cpu_anchor.items()},
@@ -166,7 +177,7 @@ class MonitoringAgent:
             "violations": self.violations,
         }
 
-    def restore(self, state: Dict[str, object]) -> None:
+    def restore(self, state: Dict[str, Any]) -> None:
         self.watch = list(state.get("watch", self.watch))
         self.conditions = {
             r: (b[0], b[1]) for r, b in dict(state.get("conditions", {})).items()
@@ -183,7 +194,8 @@ class MonitoringAgent:
             r: (a[0], a[1]) for r, a in dict(state.get("cpu_anchor", {})).items()
         }
         self._crowd_anchor = {
-            r: tuple(a) for r, a in dict(state.get("crowd_anchor", {})).items()
+            r: (a[0], a[1], a[2])
+            for r, a in dict(state.get("crowd_anchor", {})).items()
         }
         self._net_seen = dict(state.get("net_seen", {}))
         self._last_trigger = state.get("last_trigger", -float("inf"))
@@ -192,24 +204,29 @@ class MonitoringAgent:
     # -- estimation ------------------------------------------------------------
     def estimates(self) -> Dict[str, float]:
         """Latest windowed availability estimate per watched resource."""
-        out = {}
+        out: Dict[str, float] = {}
         for resource in self.watch:
             hist = self._histories.get(resource)
-            if hist is not None and not hist.empty:
-                out[resource] = hist.mean()
+            mean = hist.mean() if hist is not None else None
+            if mean is not None:
+                out[resource] = mean
         return out
 
     def _sample(self) -> None:
         now = self.sim.now
         crowd_stats = None
+        split = self._split
         for resource in self.watch:
-            host, _, kind = resource.partition(".")
+            parts = split.get(resource)
+            if parts is None:
+                parts = split[resource] = resource.partition(".")
+            host, _, kind = parts
             if host == "crowd":
                 if self.crowd is None:
                     continue
                 if crowd_stats is None:  # one columnar snapshot per period
                     crowd_stats = self.crowd.stats()
-                self._sample_crowd(resource, crowd_stats, now)
+                self._sample_crowd(resource, kind, crowd_stats, now)
                 continue
             sandbox = self.rt.sandboxes.get(host)
             if sandbox is None:
@@ -223,7 +240,7 @@ class MonitoringAgent:
             elif kind == "disk":
                 self._sample_disk(resource, sandbox)
 
-    def _sample_crowd(self, resource: str, stats: Dict, now: float) -> None:
+    def _sample_crowd(self, resource: str, sub: str, stats: Dict, now: float) -> None:
         """Estimates from a CrowdSource's cumulative per-class tallies.
 
         ``crowd.<class>.qos`` is the satisfaction fraction of outcomes
@@ -231,8 +248,12 @@ class MonitoringAgent:
         realized issue rate (req/s), and ``crowd.<class>.inflight`` the
         instantaneous outstanding-request count.  All three are pure
         reads of columnar state — sampling never perturbs the crowd.
+        ``sub`` is ``resource`` without its ``crowd.`` prefix.
         """
-        cls, _, kind = resource[len("crowd."):].partition(".")
+        parts = self._split.get(sub)
+        if parts is None:
+            parts = self._split[sub] = sub.partition(".")
+        cls, _, kind = parts
         row = stats.get(cls)
         if row is None:
             return
@@ -270,44 +291,47 @@ class MonitoringAgent:
         self._histories[resource].record(now, share)
 
     def _sample_network(self, resource: str, sandbox: Sandbox) -> None:
-        """Effective bandwidth from transfers finished since the last tick.
+        """Effective bandwidth from transfers finished since the last tick."""
+        keys = self._log_keys.get(resource)
+        if keys is None:
+            keys = self._log_keys[resource] = (resource + ":recv", resource + ":send")
+        self._scan_log(resource, keys[0], sandbox.recv_log, sandbox.recv_log_dropped)
+        self._scan_log(resource, keys[1], sandbox.send_log, sandbox.send_log_dropped)
+
+    def _sample_disk(self, resource: str, sandbox: Sandbox) -> None:
+        """Effective disk bandwidth from completed operations."""
+        keys = self._log_keys.get(resource)
+        if keys is None:
+            keys = self._log_keys[resource] = (resource + ":ops",)
+        self._scan_log(resource, keys[0], sandbox.disk_log, sandbox.disk_log_dropped)
+
+    def _scan_log(self, resource: str, key: str, log: list, dropped: int) -> None:
+        """Bandwidth samples from the ``(start, end, size)`` entries of a
+        sandbox log that ``key`` has not seen yet.
 
         Packet-train estimator: for back-to-back deliveries the meaningful
         interval is the time since the *previous* delivery (the pipe drains
         continuously), not this message's own queueing delay — otherwise
         backlog debt is double-counted and the estimate biases low.
         """
-        for direction, log in (("recv", sandbox.recv_log), ("send", sandbox.send_log)):
-            key = f"{resource}:{direction}"
-            seen = self._net_seen.get(key, 0)
-            # The sandbox trims its bounded log from the front; ``seen`` is
-            # an absolute index, so re-anchor it past whatever was dropped.
-            dropped = getattr(sandbox, f"{direction}_log_dropped", 0)
-            start_idx = max(0, seen - dropped)
-            prev_end = log[start_idx - 1][1] if start_idx > 0 else float("-inf")
-            for start, end, size in log[start_idx:]:
-                duration = end - max(start, prev_end)
-                # Skip control-sized messages: their timing is dominated by
-                # per-message latency, not bandwidth.
-                if duration > 1e-9 and size >= self.min_sample_bytes:
-                    self._histories[resource].record(end, size / duration)
-                prev_end = end
-            self._net_seen[key] = dropped + len(log)
-
-    def _sample_disk(self, resource: str, sandbox: Sandbox) -> None:
-        """Effective disk bandwidth from completed operations."""
-        key = f"{resource}:ops"
-        seen = self._net_seen.get(key, 0)
-        log = sandbox.disk_log
-        dropped = getattr(sandbox, "disk_log_dropped", 0)
-        start_idx = max(0, seen - dropped)
+        total = dropped + len(log)
+        seen = self._net_seen.get(key)
+        if seen == total:
+            return  # idle since the last tick
+        # The sandbox trims its bounded log from the front; ``seen`` is an
+        # absolute index, so re-anchor it past whatever was dropped.  A key
+        # is written the first time it is scanned, even for an empty log:
+        # ``_net_seen`` is part of the warm-restart snapshot.
+        start_idx = max(0, (seen or 0) - dropped)
         prev_end = log[start_idx - 1][1] if start_idx > 0 else float("-inf")
         for start, end, size in log[start_idx:]:
             duration = end - max(start, prev_end)
+            # Skip control-sized messages: their timing is dominated by
+            # per-message latency, not bandwidth.
             if duration > 1e-9 and size >= self.min_sample_bytes:
                 self._histories[resource].record(end, size / duration)
             prev_end = end
-        self._net_seen[key] = dropped + len(log)
+        self._net_seen[key] = total
 
     def _sample_memory(self, resource: str, sandbox: Sandbox, now: float) -> None:
         space = sandbox.mem_space
@@ -319,9 +343,18 @@ class MonitoringAgent:
 
     # -- violation detection ----------------------------------------------------
     def _check_conditions(self) -> Optional[Dict[str, float]]:
-        estimates = self.estimates()
+        """The full ``estimates()`` if any conditioned estimate left its
+        validity region (beyond the hysteresis margin), else ``None``.
+
+        Only the conditioned, watched histories are read on the quiet path;
+        each ``mean()`` is cached until its next ``record()``.
+        """
+        histories = self._histories
         for resource, (lo, hi) in self.conditions.items():
-            est = estimates.get(resource)
+            if resource not in self.watch:
+                continue
+            hist = histories.get(resource)
+            est = hist.mean() if hist is not None else None
             if est is None:
                 continue
             # True hysteresis: the estimate must cross the bound by the
@@ -331,7 +364,7 @@ class MonitoringAgent:
             if (math.isfinite(lo) and est < lo - lo_margin) or (
                 math.isfinite(hi) and est > hi + hi_margin
             ):
-                return estimates
+                return self.estimates()
         return None
 
     def _run(self):

@@ -7,6 +7,8 @@ closed-loop population accounting, byte-identical repeats, and guard
 shedding by priority — at populations small enough for tier-1.
 """
 
+import json
+
 import pytest
 
 from repro.crowd import (
@@ -17,6 +19,7 @@ from repro.crowd import (
     CrowdSource,
     ServiceClass,
 )
+from repro.crowd.source import _COLUMNS
 from repro.recovery import OverloadGuard, OverloadPolicy
 from repro.sandbox import HostSpec, LinkSpec, Testbed
 
@@ -172,6 +175,29 @@ def test_observer_reads_do_not_perturb_the_run():
         return source.stats()
 
     assert run(probe=False) == run(probe=True)
+
+
+def test_stats_are_plain_python_numbers_equal_to_the_cells():
+    """stats() pins the JSON shape of the crowd payload: every value is a
+    plain ``int``/``float`` (never a numpy scalar) equal to the per-cell
+    read of the columnar state, mid-run as well as after the drain."""
+    for until in (8.0, 60.0):
+        source, _agent, _tb = run_crowd_pair(_mixed_classes(), until=until)
+        stats = source.stats()
+        assert list(stats) == [c.name for c in source.classes]
+        for i, c in enumerate(source.classes):
+            row = stats[c.name]
+            for j, name in enumerate(_COLUMNS):
+                assert type(row[name]) is int, (c.name, name)
+                assert row[name] == int(source._cols[i, j])
+            served = int(source._cols[i, _COLUMNS.index("served")])
+            resp_mean = float(source._resp_sum[i]) / served if served else 0.0
+            assert type(row["resp_mean"]) is float
+            assert type(row["resp_max"]) is float
+            assert row["resp_mean"] == resp_mean
+            assert row["resp_max"] == float(source._resp_max[i])
+        assert json.loads(json.dumps(stats)) == stats
+    assert stats["open"]["served"] > 0  # resp_mean took the division path
 
 
 def test_duplicate_class_names_rejected():

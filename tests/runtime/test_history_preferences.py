@@ -1,6 +1,8 @@
 """Tests for history windows, EWMA, and user preferences."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import EWMA, Constraint, HistoryWindow, Objective, UserPreference
 from repro.tunable import MetricRange
@@ -47,6 +49,72 @@ def test_history_clear():
     h.record(0.0, 1.0)
     h.clear()
     assert h.empty
+
+
+class NaiveWindow:
+    """Reference history window: a plain list, re-summed on every query."""
+
+    def __init__(self, window):
+        self.window = window
+        self.s = []
+
+    def record(self, t, v):
+        self.s.append((t, v))
+        self.s = [(ti, vi) for ti, vi in self.s if ti >= t - self.window]
+
+    def clear(self):
+        self.s = []
+
+    def mean(self):
+        return sum(v for _, v in self.s) / len(self.s) if self.s else None
+
+    def minimum(self):
+        return min((v for _, v in self.s), default=None)
+
+    def maximum(self):
+        return max((v for _, v in self.s), default=None)
+
+    def last(self):
+        return self.s[-1][1] if self.s else None
+
+
+#: Time steps: repeats (0), in-window steps, and jumps past the window
+#: that trim every earlier sample.
+_steps = st.sampled_from([0.0, 0.0, 0.001, 0.01, 0.1, 0.3, 0.5, 0.99, 1.0, 2.5])
+_values = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, width=64)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), _steps, _values),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_ops, window=st.sampled_from([0.01, 0.5, 1.0]))
+def test_history_matches_naive_reference_bit_for_bit(ops, window):
+    """Every query, after every ``record``/``clear``, equals the reference."""
+    h, ref = HistoryWindow(window), NaiveWindow(window)
+    t = 0.0
+    for op in ops:
+        if op[0] == "record":
+            t += op[1]
+            h.record(t, op[2])
+            ref.record(t, op[2])
+        else:
+            h.clear()
+            ref.clear()
+        mean = h.mean()
+        # ``==``, not approx: the cached mean must be the same float.
+        assert mean == ref.mean()
+        assert h.mean() == mean  # a second read, no record() in between
+        assert h.minimum() == ref.minimum()
+        assert h.maximum() == ref.maximum()
+        assert h.last() == ref.last()
+        assert len(h) == len(ref.s)
+        assert h.empty == (not ref.s)
+        assert h.samples() == ref.s
 
 
 def test_ewma_converges():

@@ -1,5 +1,7 @@
 """Tests for the monitoring agent, system monitor, and admission control."""
 
+import json
+
 import pytest
 
 from repro.runtime import AdmissionController, AdmissionError, MonitoringAgent, SystemMonitor
@@ -132,8 +134,8 @@ def test_monitor_no_trigger_within_conditions():
     assert triggers == []
 
 
-def test_monitor_network_estimate():
-    """Effective bandwidth seen by a shaped receiver ~= the sandbox limit."""
+def network_app():
+    """Client fetches 20 x 50 kB replies, shaped to 1e5 B/s on its side."""
     space = ConfigSpace([ControlParameter("mode", ("x",))])
     env = ExecutionEnv(
         [HostComponent("client", cpu_speed=100.0), HostComponent("server", cpu_speed=100.0)],
@@ -168,6 +170,12 @@ def test_monitor_network_estimate():
         tb, Configuration({"mode": "x"}),
         limits={"client": ResourceLimits(net_bw=100_000.0)},
     )
+    return app, tb, rt
+
+
+def test_monitor_network_estimate():
+    """Effective bandwidth seen by a shaped receiver ~= the sandbox limit."""
+    app, tb, rt = network_app()
     agent = MonitoringAgent(rt, watch=["client.network"], window=5.0).start()
     tb.run()
     est = agent.estimates()["client.network"]
@@ -179,6 +187,85 @@ def test_monitor_validation():
     app, tb, rt = start_app()
     with pytest.raises(ValueError):
         MonitoringAgent(rt, watch=["client.cpu"], period=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"window": 0.0},
+        {"window": -1.0},
+        {"hysteresis": -0.05},
+        {"cooldown": -0.5},
+    ],
+)
+@pytest.mark.parametrize("watch", [[], ["client.cpu"]])
+def test_monitor_rejects_bad_arguments_at_construction(kwargs, watch):
+    # With an empty watch list no history is built, so only the constructor
+    # can catch a bad window before retarget() or restore() trips on it.
+    app, tb, rt = start_app()
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        MonitoringAgent(rt, watch=watch, **kwargs)
+
+
+def test_monitor_accepts_zero_hysteresis_and_cooldown():
+    app, tb, rt = start_app()
+    agent = MonitoringAgent(rt, watch=["client.cpu"], hysteresis=0.0, cooldown=0.0)
+    assert agent.hysteresis == 0.0 and agent.cooldown == 0.0
+
+
+def _roundtrip(agent, rt):
+    """A fresh agent restored from ``agent``'s (JSON round-tripped) state."""
+    fresh = MonitoringAgent(rt, watch=[], window=agent.window)
+    fresh.restore(json.loads(json.dumps(agent.snapshot())))
+    return fresh
+
+
+def test_monitor_checkpoint_roundtrip_is_exact():
+    # client.network and server.disk see no traffic: their log keys must
+    # still be in the snapshot, with the value 0.
+    app, tb, rt = start_app(limits={"client": ResourceLimits(cpu_share=0.6)})
+    watch = ["client.cpu", "client.network", "server.disk"]
+    agent = MonitoringAgent(rt, watch=watch, window=0.3).start()
+    agent.retarget(conditions={"client.cpu": (0.8, float("inf"))})
+    tb.run(until=1.0)
+    state = agent.snapshot()
+    assert state["net_seen"] == {
+        "client.network:recv": 0, "client.network:send": 0, "server.disk:ops": 0,
+    }
+    assert len(state["histories"]["client.cpu"]) > 1
+    assert agent.estimates()["client.cpu"] == pytest.approx(0.6, abs=0.05)
+
+    fresh = _roundtrip(agent, rt)
+    assert fresh.estimates() == agent.estimates()
+    assert fresh.estimates() == fresh.estimates()  # cached mean is stable
+    assert fresh.snapshot() == state
+    # The estimate sits below the bound: both report the full estimates.
+    assert fresh._check_conditions() == agent._check_conditions() == agent.estimates()
+    agent.stop()
+
+
+def test_monitor_checkpoint_roundtrip_with_traffic():
+    app, tb, rt = network_app()
+    watch = ["client.network", "server.network", "client.disk"]
+    agent = MonitoringAgent(rt, watch=watch, window=5.0).start()
+    tb.run(until=4.0)
+    state = agent.snapshot()
+    assert state["net_seen"]["client.network:recv"] > 0
+    assert state["net_seen"]["client.disk:ops"] == 0
+    assert state["histories"]["client.network"]
+
+    fresh = _roundtrip(agent, rt)
+    assert fresh.estimates() == agent.estimates()
+    assert fresh.snapshot() == state
+    # Bandwidth samples are stamped with log times, not tick times, so the
+    # restored agent carries on exactly where the original stands.
+    fresh.start()
+    tb.run()
+    agent.stop()
+    fresh.stop()
+    assert fresh.estimates() == agent.estimates()
+    assert fresh.snapshot() == agent.snapshot()
 
 
 # ------------------------------------------------------------- admission
