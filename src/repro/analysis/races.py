@@ -12,7 +12,7 @@ ordering between the two accesses other than the queue's arrival order.
 :class:`RaceDetector` is opt-in instrumentation over a
 :class:`~repro.sim.core.Simulator`:
 
-* :meth:`attach` installs a step hook recording which scheduled event
+* :meth:`attach` adds a kernel step observer recording which scheduled event
   (time, priority, FIFO sequence) is currently executing;
 * :meth:`watch_store` / :meth:`watch_mapping` / :meth:`record` declare
   the shared state to track (mailbox stores, controller tables, host or
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -192,35 +191,31 @@ class RaceDetector:
         self._parent: Dict[int, Tuple[int, float]] = {}
         #: step seq -> transitive same-timestamp ancestors (window-local).
         self._ancestors: Dict[int, frozenset] = {}
-        self._orig_enqueue: Optional[Callable[[Event, float, int], None]] = None
 
     # -- lifecycle -------------------------------------------------------
     def attach(self) -> "RaceDetector":
-        if self.sim.step_hook is not None and self.sim.step_hook is not self._on_step:
-            raise RuntimeError("simulator already has a step hook installed")
-        self.sim.step_hook = self._on_step
-        if self._orig_enqueue is None:
-            original = self.sim._enqueue
-            self._orig_enqueue = original
+        """Observe every kernel step (idempotent; any attach order)."""
+        if self._attached:
+            return self
+        self.sim.observers.append(self._on_step)
+        original = self.sim._enqueue
 
-            def enqueue(event: Event, delay: float, priority: int) -> None:
-                if not event._scheduled and self._current is not None:
-                    time, _prio, seq, _ctx = self._current
-                    self._parent[id(event)] = (seq, time)
-                original(event, delay, priority)
+        def enqueue(event: Event, delay: float, priority: int) -> None:
+            if not event._scheduled and self._current is not None:
+                time, _prio, seq, _ctx = self._current
+                self._parent[id(event)] = (seq, time)
+            original(event, delay, priority)
 
-            self.sim._enqueue = enqueue  # type: ignore[method-assign]
+        self.sim._enqueue = enqueue  # type: ignore[method-assign]
         self._attached = True
         return self
 
     def detach(self) -> "RaceDetector":
         if self._attached:
-            self.sim.step_hook = None
-            if self._orig_enqueue is not None:
-                # attach() shadowed the class method with an instance
-                # attribute; removing the shadow restores the original.
-                self.sim.__dict__.pop("_enqueue", None)
-                self._orig_enqueue = None
+            self.sim.observers.remove(self._on_step)
+            # attach() shadowed the class method with an instance
+            # attribute; removing the shadow restores the original.
+            self.sim.__dict__.pop("_enqueue", None)
             self._attached = False
         return self
 
@@ -229,7 +224,7 @@ class RaceDetector:
         self._flush()
         return self.reports
 
-    # -- step hook -------------------------------------------------------
+    # -- step observer ---------------------------------------------------
     def _context_of(self, event: Event) -> str:
         """Stable, human-readable identity for the code an event runs."""
         proc = getattr(event, "callbacks", None)

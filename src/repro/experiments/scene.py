@@ -63,13 +63,12 @@ class Instruments:
         self._attached = False
 
     def attach(self, testbed, config=None) -> "Instruments":
-        """Attach every observer to ``testbed`` in the canonical order.
+        """Attach every observer to ``testbed``.
 
-        The race detector refuses to attach over an existing ``step_hook``,
-        so it goes first and watches every host mailbox; the accountant and
-        the recorder each chain whatever hook they find, recorder last; the
-        profiler hangs off ``sim.perf`` independently.  ``config`` is the
-        initial configuration the accountant attributes work to.
+        The race detector watches every host mailbox; the detector,
+        accountant and recorder each join ``sim.observers`` and the
+        profiler hangs off ``sim.perf``.  ``config`` is the initial
+        configuration the accountant attributes work to.
         """
         sim = testbed.sim
         self._attached = True

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
     "Simulator",
@@ -341,10 +341,10 @@ class Simulator:
         self._seq = count()
         self._tiebreak = tiebreak
         self._active: Optional[Process] = None
-        #: Opt-in instrumentation: called as ``hook(time, priority, seq,
-        #: event)`` just before each popped event's callbacks run.  Used by
-        #: :class:`repro.analysis.races.RaceDetector`; None costs nothing.
-        self.step_hook: Optional[Callable[[float, int, int, Event], None]] = None
+        #: Passive step observers, oldest first, each called as ``fn(time,
+        #: priority, seq, event)`` just before a popped event's callbacks
+        #: run.  Attach with ``append``, detach with ``remove``.
+        self.observers: List[Callable[[float, int, int, Event], None]] = []
         #: Discovery point for the observability layer: a bound
         #: :class:`repro.obs.TraceRecorder`, or None (the default — every
         #: instrumented call site guards on this, so disabled tracing costs
@@ -468,8 +468,9 @@ class Simulator:
         if t < self._now - 1e-12:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self._now = t
-        if self.step_hook is not None:
-            self.step_hook(t, _prio, _seq, event)
+        if self.observers:  # no list iterator per step when nobody observes
+            for fn in self.observers:
+                fn(t, _prio, _seq, event)
         perf = self.perf
         if perf is not None:
             # Burst sampling: during a profiler off phase the countdown is
@@ -477,7 +478,7 @@ class Simulator:
             # pre_step closes the previous event's wall window with a
             # single clock read, so each bucket's cost spans from its
             # event's dispatch to the next event's dispatch — callbacks,
-            # chained step hooks, and heap maintenance included.
+            # step observers, and heap maintenance included.
             n = perf.skip
             if n:
                 perf.skip = n - 1

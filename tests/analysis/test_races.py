@@ -192,9 +192,9 @@ def test_setup_accesses_never_race():
 def test_detach_restores_simulator_hooks():
     sim = Simulator()
     detector = RaceDetector(sim).attach()
-    assert sim.step_hook is not None
+    assert sim.observers == [detector._on_step]
     assert "_enqueue" in sim.__dict__  # instrumented shadow installed
     detector.detach()
-    assert sim.step_hook is None
+    assert sim.observers == []
     assert "_enqueue" not in sim.__dict__  # class method restored
     assert sim._enqueue.__func__ is Simulator._enqueue

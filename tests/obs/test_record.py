@@ -1,8 +1,11 @@
 """Tests for span recording: parenting, process lifecycle, no-op mode."""
 
+from itertools import permutations
+
 import pytest
 
-from repro.obs import ObsError, TraceRecorder
+from repro.analysis.races import RaceDetector
+from repro.obs import ObsError, TraceRecorder, UsageAccountant
 from repro.sim import Simulator
 
 
@@ -31,7 +34,7 @@ def test_bind_unbind_contract():
         TraceRecorder().bind(sim)  # second recorder on same sim
     rec.unbind()
     assert sim.obs is None
-    assert sim.step_hook is None
+    assert sim.observers == []
 
 
 def test_process_lifecycle_spans_and_creator_parenting():
@@ -134,10 +137,10 @@ def test_monotonic_ids_and_unbound_clock():
     assert rec.find("a")[0].t0 == 0.0  # unbound clock reads 0.0
 
 
-def test_recorder_chains_existing_step_hook():
+def test_recorder_coexists_with_another_observer():
     sim = Simulator()
     seen = []
-    sim.step_hook = lambda t, prio, seq, event: seen.append(seq)
+    sim.observers.append(lambda t, prio, seq, event: seen.append(seq))
     rec = TraceRecorder().bind(sim)
 
     def worker():
@@ -145,5 +148,61 @@ def test_recorder_chains_existing_step_hook():
 
     sim.process(worker(), name="w")
     sim.run(until=2.0)
-    assert seen  # the original hook still fires
+    assert seen  # the earlier observer still fires
     assert rec.steps == len(seen)
+
+
+OBSERVERS = ("detector", "usage", "recorder")
+
+
+@pytest.mark.parametrize("detach_order", permutations(OBSERVERS), ids="-".join)
+@pytest.mark.parametrize("attach_order", permutations(OBSERVERS), ids="-".join)
+def test_observers_attach_and_detach_in_any_order(attach_order, detach_order):
+    """Each observer sees every step while attached and none after, and
+    no observer's attach or detach disturbs another's."""
+    sim = Simulator()
+    rec = TraceRecorder()
+    usage = UsageAccountant()
+    detector = RaceDetector(sim)
+    attach = {
+        "detector": detector.attach,
+        "usage": lambda: usage.attach(sim),
+        "recorder": lambda: rec.bind(sim),
+    }
+    detach = {
+        "detector": detector.detach,
+        "usage": usage.detach,
+        "recorder": rec.unbind,
+    }
+    for name in attach_order:
+        attach[name]()
+    detector.attach()  # a second attach is accepted, whoever came before
+    attached = set(OBSERVERS)
+
+    def worker():
+        yield sim.timeout(0.5)
+        yield sim.timeout(0.5)
+
+    steps_of = {"recorder": lambda: rec.steps, "usage": lambda: usage.steps}
+    for phase, leaving in enumerate(detach_order + (None,)):
+        sim.process(worker(), name=f"w{phase}")
+        before = {name: get() for name, get in steps_of.items()}
+        n_records = len(rec.records)
+        steps = 0
+        while sim.peek() <= phase + 1.0:
+            sim.step()
+            steps += 1
+        assert steps > 0
+        for name, get in steps_of.items():
+            expected = steps if name in attached else 0
+            assert get() - before[name] == expected, name
+        if "recorder" in attached:
+            assert len(rec.find(f"proc:w{phase}")) == 1
+        else:
+            assert len(rec.records) == n_records
+        assert ("_enqueue" in sim.__dict__) == ("detector" in attached)
+        assert len(sim.observers) == len(attached)
+        if leaving is not None:
+            detach[leaving]()
+            attached.remove(leaving)
+    assert sim.observers == []

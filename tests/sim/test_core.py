@@ -446,12 +446,14 @@ def test_urgent_timeout_precedes_normal_at_same_instant():
     assert order == ["watcher", "worker"]
 
 
-def test_step_hook_observes_every_step():
+def test_observers_see_every_step():
     seen = []
     sim = Simulator()
-    sim.step_hook = lambda t, prio, seq, event: seen.append(
-        (t, prio, type(event).__name__)
-    )
+
+    def observer(t, prio, seq, event):
+        seen.append((t, prio, type(event).__name__))
+
+    sim.observers.append(observer)
 
     def proc():
         yield sim.timeout(1.0)
@@ -462,7 +464,7 @@ def test_step_hook_observes_every_step():
     times = [t for t, _prio, _name in seen]
     assert times == sorted(times)
     assert [name for _t, _prio, name in seen].count("Timeout") == 2
-    sim.step_hook = None
+    sim.observers.remove(observer)
 
 
 # -- tiebreak policy hook --------------------------------------------------
