@@ -52,6 +52,9 @@ _SUBSYSTEMS = (
     ("lifecycle", "kernel;init;"),
     ("lifecycle", "kernel;exit;"),
     ("processes", ";proc:"),
+    # Sandbox send/recv/compute continuations: callback chains that
+    # account a message or a job and then resume the waiting process.
+    ("processes", ";call:Sandbox."),
 )
 
 

@@ -98,12 +98,15 @@ class Host:
         weight: float = 1.0,
         cap: Optional[float] = None,
         owner=None,
+        done=None,
     ):
-        """Send a message from this host; returns the delivery event."""
+        """Send a message from this host; returns the delivery event
+        (``done``, when the caller supplies its own completion event)."""
         if self.network is None:
             raise RuntimeError(f"host {self.name!r} is not attached to a network")
         return self.network.send(
-            self.name, dst, port, payload, size, weight=weight, cap=cap, owner=owner
+            self.name, dst, port, payload, size, weight=weight, cap=cap,
+            owner=owner, done=done,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -130,16 +130,20 @@ class Network:
         weight: float = 1.0,
         cap: Optional[float] = None,
         owner: Optional[object] = None,
+        done: Optional[Event] = None,
     ) -> Event:
         """Transmit a message; returns an event firing at delivery.
 
         The event's value is the delivered :class:`Message`.  Delivery also
         enqueues the message into the destination host's mailbox for ``port``.
+        A caller that already holds its completion event (the sandbox's
+        send) passes it as ``done``, so the send costs no extra event.
         """
         link = self.link(src, dst)
         msg = Message(src=src, dst=dst, port=port, payload=payload, size=size)
         msg.send_time = self.sim.now
-        done = Event(self.sim)
+        if done is None:
+            done = Event(self.sim)
         if not self.hosts[src].up:
             # The sending process belongs to a crashed host: the message
             # vanishes, but the (zombie) sender is unblocked immediately.

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from ..sandbox.sandbox import MessageOp
 from ..sim import URGENT, Interrupt, Process, StoreGet
 from ..tunable import AppRuntime
 
@@ -131,7 +132,9 @@ class FailoverMember:
                 continue
             target = proc.target
             proc.interrupt("failover-stop")
-            if isinstance(target, StoreGet) and sandbox is not None:
+            if isinstance(target, MessageOp):
+                target.cancel()
+            elif isinstance(target, StoreGet) and sandbox is not None:
                 target.store.cancel(target)
 
     # -- internals ----------------------------------------------------------

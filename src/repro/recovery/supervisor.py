@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
 
+from ..sandbox.sandbox import MessageOp
 from ..sim import Process, Simulator, stream
 from ..sim.primitives import Request, StoreGet
 from .checkpoint import Checkpoint, CheckpointStore
@@ -313,8 +314,8 @@ class Supervisor:
         """Fail-stop a service (FaultPlan ``kill`` events land here).
 
         Interrupts every live process of the service and unwinds whatever
-        each was parked on (mailbox waiters, resource requests, nested
-        sandbox helper processes) so no orphaned waiter swallows traffic
+        each was parked on (mailbox waiters, resource requests, sandbox
+        sends and receives) so no orphaned waiter swallows traffic
         meant for the restarted incarnation.  Messages already queued in
         host mailboxes survive — the durable-queue crash model shared with
         host crashes.
@@ -339,22 +340,26 @@ class Supervisor:
         return True
 
     def _reap(self, proc: Process, reason: str) -> None:
-        """Interrupt ``proc`` and unwind the event it was waiting on."""
+        """Interrupt ``proc`` and unwind the event it was waiting on.
+
+        A mailbox get is withdrawn and a resource request released, so
+        neither outlives the process.  A sandbox send or recv is
+        cancelled (:class:`~repro.sandbox.MessageOp`): a send still held
+        by the token bucket never goes out, one on the wire is delivered
+        but not accounted, and a receive never takes a later message.
+        """
         if not proc.is_alive or proc is self.sim.active_process:
             return
         target = proc.target
         proc.interrupt(reason)
-        if isinstance(target, StoreGet):
+        if isinstance(target, MessageOp):
+            target.cancel()
+        elif isinstance(target, StoreGet):
             # Detached mailbox waiter: cancel it or it silently consumes
             # the next message addressed to the restarted service.
             target.store.cancel(target)
         elif isinstance(target, Request):
             target.resource.release(target)
-        elif isinstance(target, Process) and target.is_alive:
-            # Sandbox helper (recv/send wrapper): tear it down too, and
-            # defuse its failure since nobody waits on it any more.
-            self._reap(target, reason)
-            target.defused = True
 
     # -- checkpointing ------------------------------------------------------
     def on_safe_point(self, ctx: Any, time: float) -> None:

@@ -26,12 +26,12 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..cluster.host import Host
-from ..sim import Event, Process, SimulationError, Simulator
+from ..sim import URGENT, Event, Process, SimulationError, Simulator, StoreGet, Timeout
 from .limits import LimiterMode, ResourceLimits
 from .net_limiter import TokenBucket
 from .progress import ProgressEstimator
 
-__all__ = ["Sandbox"]
+__all__ = ["Sandbox", "MessageOp", "SandboxSend", "SandboxRecv", "ShapedRecv"]
 
 #: Default controller quantum — the paper adjusts priority "every few
 #: milliseconds".
@@ -40,6 +40,76 @@ DEFAULT_QUANTUM = 0.005
 DEFAULT_BURST = 0.02
 #: Default cost of one soft page fault (seconds).
 DEFAULT_FAULT_COST = 5e-5
+
+
+class MessageOp:
+    """A pending :meth:`Sandbox.send` or :meth:`Sandbox.recv`.
+
+    The event the caller awaits is the operation itself: a chain of
+    callbacks on the network-delivery and mailbox events, not a process.
+    Teardown code (a supervisor kill, a failover stop) calls
+    :meth:`cancel` after interrupting the waiter.  A cancelled send that
+    is still in its token-bucket delay never reaches the network; one
+    already on the wire is delivered but not accounted to the sender.  A
+    cancelled receive never takes a later message, and one cancelled
+    while its bytes are being shaped loses the message unlogged.
+    """
+
+    __slots__ = ()
+
+    def cancel(self) -> None:
+        raise NotImplementedError
+
+
+class SandboxSend(Event, MessageOp):
+    """A send: also the network's delivery event, so it fires with the
+    delivered :class:`~repro.cluster.network.Message` (or fails with the
+    transfer's error)."""
+
+    __slots__ = ("start", "size", "held", "cancelled")
+
+    def __init__(self, sandbox: "Sandbox", size: float):
+        super().__init__(sandbox.sim)
+        self.start = sandbox.sim.now
+        self.size = size
+        #: (dst, port, payload) while the token bucket holds the send.
+        self.held: Optional[tuple] = None
+        self.cancelled = False
+        self.callbacks.append(sandbox._sent)
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class SandboxRecv(StoreGet, MessageOp):
+    """A mailbox get that accounts the message it takes.  Unshaped, the
+    caller awaits it directly; shaped, it feeds a :class:`ShapedRecv`."""
+
+    __slots__ = ("done", "cancelled")
+
+    def __init__(self, sandbox: "Sandbox", port: str, filter, done=None):
+        self.done: Optional["ShapedRecv"] = done
+        self.cancelled = False
+        super().__init__(sandbox.host.mailbox(port), filter)
+        self.callbacks.append(sandbox._received)
+
+    def cancel(self) -> None:
+        self.cancelled = True
+        self.store.cancel(self)
+
+
+class ShapedRecv(Event, MessageOp):
+    """A receive under a bandwidth limit: fires once the message's bytes
+    fit the configured rate."""
+
+    __slots__ = ("get",)
+
+    def __init__(self, sandbox: "Sandbox", port: str, filter):
+        super().__init__(sandbox.sim)
+        self.get = SandboxRecv(sandbox, port, filter, done=self)
+
+    def cancel(self) -> None:
+        self.get.cancel()
 
 
 class Sandbox:
@@ -249,45 +319,75 @@ class Sandbox:
             )
 
     # -------------------------------------------------------------- network
-    def send(self, dst: str, port: str, payload, size: float) -> Process:
+    def send(self, dst: str, port: str, payload, size: float) -> SandboxSend:
         """Send a message subject to the bandwidth limit; yields the Message."""
-        return self.sim.process(
-            self._send(dst, port, payload, size), name=f"{self.name}.send"
-        )
-
-    def _send(self, dst: str, port: str, payload, size: float):
-        start = self.sim.now
+        op = SandboxSend(self, size)
         cap = None
         if self.limits.net_bw is not None:
             if self._bucket is not None:
                 delay = self._bucket.reserve(size, self.sim.now)
                 if delay > 0:
-                    yield self.sim.timeout(delay)
+                    op.held = (dst, port, payload)
+                    Timeout(self.sim, delay, op).callbacks.append(self._release)
+                    return op
             else:
                 cap = self.limits.net_bw
-        msg = yield self.host.send(dst, port, payload, size, cap=cap, owner=self)
-        self.bytes_sent += size
-        self.send_log.append((start, self.sim.now, size))
+        self.host.send(dst, port, payload, size, cap=cap, owner=self, done=op)
+        return op
+
+    def _release(self, delay: Event) -> None:
+        """The token bucket lets a held send go."""
+        op = delay._value
+        if not op.cancelled:
+            dst, port, payload = op.held
+            op.held = None
+            self.host.send(dst, port, payload, op.size, owner=self, done=op)
+
+    def _sent(self, op: SandboxSend) -> None:
+        if op.cancelled or not op._ok:
+            return
+        self.bytes_sent += op.size
+        self.send_log.append((op.start, self.sim.now, op.size))
         if len(self.send_log) > 4096:
             del self.send_log[:2048]
             self.send_log_dropped += 2048
-        return msg
 
-    def recv(self, port: str, filter=None) -> Process:
+    def recv(self, port: str, filter=None) -> Event:
         """Wait for the next message on ``port`` (optionally filtered).
 
         Inbound data is shaped to the sandbox's bandwidth limit: delivery of
         a message is delayed until its bytes fit the configured rate — the
         paper's "delaying ... receiving of messages".  Yields the Message.
+        Shaping applies to receives issued while a limit is set.
         """
-        return self.sim.process(self._recv(port, filter), name=f"{self.name}.recv")
+        if self._recv_bucket is None:
+            return SandboxRecv(self, port, filter)
+        return ShapedRecv(self, port, filter)
 
-    def _recv(self, port: str, filter=None):
-        msg = yield self.host.mailbox(port).get(filter=filter)
+    def _received(self, get: SandboxRecv) -> None:
+        if get.cancelled:
+            return
+        msg = get._value
+        done = get.done
+        if done is None:  # unshaped: the caller awaits ``get`` itself
+            self._log_recv(msg)
+            return
         if self._recv_bucket is not None:
             delay = self._recv_bucket.reserve(msg.size, self.sim.now)
             if delay > 0:
-                yield self.sim.timeout(delay)
+                Timeout(self.sim, delay, get).callbacks.append(self._shaped)
+                return
+        self._log_recv(msg)
+        done.succeed(msg, priority=URGENT)
+
+    def _shaped(self, delay: Event) -> None:
+        """A shaped message's bytes now fit the rate: hand it over."""
+        get = delay._value
+        if not get.cancelled:
+            self._log_recv(get._value)
+            get.done.succeed(get._value, priority=URGENT)
+
+    def _log_recv(self, msg) -> None:
         self.bytes_received += msg.size
         # Log (transmission start, delivered, size): the span covers wire
         # time plus any shaping, which is exactly the "effective bandwidth"
@@ -296,7 +396,6 @@ class Sandbox:
         if len(self.recv_log) > 4096:
             del self.recv_log[:2048]
             self.recv_log_dropped += 2048
-        return msg
 
     def note_received(self, msg) -> None:
         """Record reception for bandwidth accounting (raw-mailbox paths)."""

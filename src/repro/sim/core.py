@@ -221,7 +221,6 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         #: Span context for :mod:`repro.obs`: the id of this process's
         #: lifecycle span (set by a bound recorder when the process starts)
         #: and the span that was active in the *spawning* context — captured
@@ -232,7 +231,8 @@ class Process(Event):
         self.obs_parent: Optional[int] = (
             creator.obs_span if creator is not None else None
         )
-        _Initialize(sim, self)
+        #: The one event allowed to resume the generator next.
+        self._target: Optional[Event] = _Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
@@ -246,29 +246,42 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        The process must be alive and must not interrupt itself.
+        The process must be alive and must not interrupt itself.  The
+        interruption becomes the process's only target: the event it was
+        waiting on can no longer resume it, even when that event is
+        dispatching right now.  A process that has not started yet first
+        runs to its first ``yield`` and is interrupted there.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated; cannot interrupt")
         if self is self.sim.active_process:
             raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever the process was waiting on so that the stale
-        # event no longer resumes it.
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target.__class__ is _Initialize:
+            target.callbacks.append(
+                lambda _init: self.is_alive and self.interrupt(cause)
+            )
+            return
+        # Detach from whatever the process was waiting on; if that event is
+        # mid-dispatch its callback list is already taken, and _resume
+        # drops it as no longer the target.
+        if target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:  # pragma: no cover - defensive
                 pass
-        self._target = None
         interruption = Event(self.sim)
         interruption._ok = False
         interruption._value = Interrupt(cause)
         interruption.defused = True
         interruption.callbacks.append(self._resume)
+        self._target = interruption
         self.sim._enqueue(interruption, 0.0, URGENT)
 
     # -- plumbing ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
+        if event is not self._target:
+            return  # superseded by an interrupt while it was dispatching
         self.sim._active = self
         try:
             while True:
@@ -497,12 +510,36 @@ class Simulator:
             raise SimulationError(
                 f"run(until={until!r}) is in the past (now={self._now!r})"
             )
+        heap = self._heap
+        observers = self.observers
+        limit = float("inf") if until is None else until
+        pop = heapq.heappop
         try:
-            while self._heap:
-                if until is not None and self._heap[0][0] > until:
-                    self._now = until
+            # Fused dispatch: while no observer is attached and the
+            # profiler (if any) is in an off phase, pop and dispatch inline
+            # — the body of step() without the call and its re-checks.
+            # Observed steps go through step() itself.
+            while heap:
+                if heap[0][0] > limit:
+                    self._now = limit
                     return
-                self.step()
+                if observers:
+                    self.step()
+                    continue
+                perf = self.perf
+                if perf is not None:
+                    n = perf.skip
+                    if not n:
+                        self.step()
+                        continue
+                    perf.skip = n - 1
+                t, _prio, _seq, event = pop(heap)
+                self._now = t
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event.defused:
+                    raise event._value
         except StopSimulation:
             return
         finally:

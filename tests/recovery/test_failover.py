@@ -131,3 +131,24 @@ def test_stop_is_idempotent_and_kills_processes():
     primary.stop()
     tb.run(until=4.0)
     assert all(not p.is_alive for p in primary.processes())
+
+
+def test_stop_cancels_a_heartbeat_in_flight():
+    """A heartbeat on the wire when its member stops still arrives, but
+    the stopped sender does not account it."""
+    from repro.sandbox.sandbox import SandboxSend
+
+    tb, rt = make_rt()
+    primary, standby = make_pair(tb, rt)
+    publisher = primary.processes()[0]
+    while not isinstance(publisher.target, SandboxSend):
+        tb.sim.step()
+    sandbox = rt.sandboxes["client"]
+    logged = len(sandbox.send_log)
+    inbox = tb.hosts["server"].mailbox("recovery.failover")
+    queued = len(inbox)
+    primary.stop()
+    standby.stop()  # its receiver leaves the heartbeat queued
+    tb.run(until=tb.sim.now + 1.0)
+    assert len(sandbox.send_log) == logged
+    assert len(inbox) == queued + 1

@@ -287,6 +287,63 @@ def test_stale_event_does_not_resume_interrupted_process():
     assert sim.now == pytest.approx(11.0)
 
 
+@pytest.mark.parametrize("finishes", [True, False])
+def test_interrupt_while_awaited_event_dispatches(finishes):
+    """Interrupted by an earlier callback of the event it is waiting on,
+    a process gets the Interrupt and never that event's value."""
+    sim = Simulator()
+    gate = sim.event()
+    seen = []
+
+    def victim():
+        try:
+            seen.append(("value", (yield gate)))
+        except Interrupt as exc:
+            seen.append(("interrupt", exc.cause))
+        if not finishes:
+            yield sim.timeout(1.0)
+            seen.append(("slept", sim.now))
+
+    def interrupter(victims):
+        yield gate  # queued on the gate ahead of the victim
+        victims[0].interrupt("poke")
+
+    victims = []
+    sim.process(interrupter(victims))  # started first: its resume comes first
+    proc = sim.process(victim())
+    victims.append(proc)
+
+    def opener():
+        yield sim.timeout(1.0)
+        gate.succeed("opened")
+
+    sim.process(opener())
+    sim.run()
+    expected = [("interrupt", "poke")]
+    if not finishes:
+        expected.append(("slept", 2.0))
+    assert seen == expected
+    assert not proc.is_alive and proc.ok
+
+
+def test_interrupt_before_start_runs_to_first_yield():
+    sim = Simulator()
+    seen = []
+
+    def body():
+        seen.append("started")
+        try:
+            yield sim.timeout(5.0)
+        except Interrupt as exc:
+            seen.append(("interrupt", exc.cause, sim.now))
+
+    proc = sim.process(body())
+    proc.interrupt("early")
+    proc.interrupt("later")  # a second interrupt replaces the first
+    sim.run()
+    assert seen == ["started", ("interrupt", "later", 0.0)]
+
+
 def test_schedule_callback():
     sim = Simulator()
     fired = []

@@ -2,7 +2,8 @@
 
 Hypothesis generates small process programs — timeouts with colliding
 delays, URGENT/NORMAL priorities, ``succeed``/``fail`` of shared manual
-events, nested spawns and interrupts.  A step observer compares every
+events, nested spawns and interrupts, also of a process whose awaited
+event is dispatching in the same step.  A step observer compares every
 event the kernel dispatches with the head of a reference queue: a plain
 list of ``(time, priority, key)`` entries re-sorted on every pop, where
 ``key`` is the FIFO enqueue counter, demoted by ``rank * RANK_STRIDE``
@@ -88,11 +89,10 @@ class Driver:
                     yield self.events[op[1]]
                 elif kind == "interrupt" and op[1] < len(self.procs):
                     target = self.procs[op[1]]
-                    # Only a process parked on a still-pending event: one
-                    # already due to resume (a second interrupt, or its event
-                    # dispatching right now) would be resumed twice.
-                    parked = target.target
-                    if parked is not None and parked.callbacks is not None:
+                    # Any live process but this one: parked, not yet
+                    # started, already interrupted, or due to resume on an
+                    # event that is dispatching right now.
+                    if target.is_alive and target is not sim.active_process:
                         target.interrupt("poke")
                 elif kind == "spawn":
                     self.spawn(op[1])
