@@ -574,9 +574,10 @@ def _run_fig5_cell(seed: int, ins) -> Dict[str, Any]:
 def builtin_scenarios(seed: int = 0) -> Dict[str, Scenario]:
     """The explorable workloads behind ``repro check explore``.
 
-    ``chaos`` and ``recovery`` are the registered scenarios of the same
-    names (:data:`repro.experiments.scene.SCENARIOS`); ``fig5`` and
-    ``racy`` are explorer-only single-simulator workloads.
+    ``chaos``, ``recovery``, the Section 7 adaptive runs (``fig7a``,
+    ``fig7b``, ``fig7cd``) and ``ext-memory`` are the registered scenarios
+    of the same names (:data:`repro.experiments.scene.SCENARIOS`);
+    ``fig5`` and ``racy`` are explorer-only single-simulator workloads.
     """
     from ..experiments.scene import SCENARIOS
 
@@ -589,6 +590,10 @@ def builtin_scenarios(seed: int = 0) -> Dict[str, Scenario]:
     return {
         "chaos": registered("chaos"),
         "recovery": registered("recovery"),
+        "fig7a": registered("fig7a"),
+        "fig7b": registered("fig7b"),
+        "fig7cd": registered("fig7cd"),
+        "ext-memory": registered("ext-memory"),
         "fig5": Scenario(
             "fig5", lambda ins: _run_fig5_cell(seed, ins),
             "one Experiment-3 profiling cell (fovea 160 @ 60% CPU)",

@@ -914,10 +914,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        import os
+
+        # The reader went away (``repro trace fig6a | head``): stop quietly,
+        # with stdout on devnull so the interpreter's final flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -8,6 +8,7 @@ need hysteresis-style safeguards against useless adaptations.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Tuple
 
 import numpy as np
@@ -135,71 +136,56 @@ def hysteresis_ablation(
     reads right after a rate change, while the backlog accrued at the old
     rate drains.  Returns switch counts for both settings.
     """
-    from ..apps.visualization import VizCosts
-    from .fig7 import ResourceVariation, run_adaptive_viz
+    from ..apps.visualization import VizCosts, VizWorkload, make_viz_app
     from ..profiling import Record
+    from .common import build_adaptive_session
+    from .fig7 import summarize_run
 
-    def crossover_db() -> PerformanceDatabase:
-        db = PerformanceDatabase(
-            "active-visualization", ["client.cpu", "client.network"]
-        )
-        samples = {
-            ("lzw", 50e3): 55.0, ("lzw", 200e3): 14.0, ("lzw", 500e3): 6.5,
-            ("bzip2", 50e3): 36.0, ("bzip2", 200e3): 12.0, ("bzip2", 500e3): 10.0,
-        }
-        for (codec, bw), t in samples.items():
-            db.add(
-                Record(
-                    Configuration({"dR": 320, "c": codec, "l": 4}),
-                    ResourcePoint({"client.cpu": 1.0, "client.network": bw}),
-                    {"transmit_time": t, "response_time": t / 4, "resolution": 4.0},
-                )
+    db = PerformanceDatabase("active-visualization", ["client.cpu", "client.network"])
+    samples = {
+        ("lzw", 50e3): 55.0, ("lzw", 200e3): 14.0, ("lzw", 500e3): 6.5,
+        ("bzip2", 50e3): 36.0, ("bzip2", 200e3): 12.0, ("bzip2", 500e3): 10.0,
+    }
+    for (codec, bw), t in samples.items():
+        db.add(
+            Record(
+                Configuration({"dR": 320, "c": codec, "l": 4}),
+                ResourcePoint({"client.cpu": 1.0, "client.network": bw}),
+                {"transmit_time": t, "response_time": t / 4, "resolution": 4.0},
             )
-        return db
-
-    from ..runtime import Objective as _Obj, UserPreference as _Pref
-    from ..sandbox import ResourceLimits as _RL
-
-    db = crossover_db()
-    pref = _Pref.single(_Obj("transmit_time"))
+        )
+    pref = UserPreference.single(Objective("transmit_time"))
     # The lzw/bzip2 decision boundary of this database sits near 310 KB/s.
     # Starting from 420 KB/s (lzw territory) and dipping to 290 KB/s just
     # crosses the naive controller's validity bound (310 KB/s) each cycle,
     # flipping it between configurations, while the guarded controller's
     # monitor hysteresis absorbs the dip entirely.
     initial_point = ResourcePoint({"client.cpu": 1.0, "client.network": 420e3})
-    variations = []
-    t = 10.0
-    for i in range(oscillations):
-        bw = 290e3 if i % 2 == 0 else 500e3
-        variations.append(ResourceVariation(t, _RL(net_bw=bw)))
-        t += 10.0
+    variations = tuple(
+        (10.0 * (i + 1), ResourceLimits(net_bw=290e3 if i % 2 == 0 else 500e3))
+        for i in range(oscillations)
+    )
 
     results: Dict[str, float] = {}
     for label, slack, hyst in (
         ("guarded", optimality_slack, monitor_hysteresis),
         ("naive", 0.0, 0.0),
     ):
-        run = run_adaptive_viz(
-            db,
-            pref,
-            initial_point,
-            {"client": _RL(net_bw=420e3)},
-            tuple(variations),
-            VizCosts(display_cost=3e-5),
-            n_images=10,
-            label=label,
-            seed=seed,
-            scheduler_mode="interpolate",
-            monitor_kwargs={
-                "window": 2.0,
-                "cooldown": 1.0,
-                "hysteresis": hyst,
-            },
+        _fig, run = build_adaptive_session(
+            label, make_viz_app(), db, pref, initial_point,
+            {"client": ResourceLimits(net_bw=420e3)}, variations,
+            workload=VizWorkload(
+                n_images=10, costs=VizCosts(display_cost=3e-5), seed=seed
+            ),
+            summarize=partial(summarize_run, label),
+            tuning={"monitor_kwargs": {
+                "window": 2.0, "cooldown": 1.0, "hysteresis": hyst,
+            }},
             optimality_slack=slack,
-        )
-        results[f"{label}_switches"] = float(len(run.switches))
-        results[f"{label}_total_time"] = run.total_time
+            seed=seed,
+        ).run()
+        results[f"{label}_switches"] = float(len(run["switches"]))
+        results[f"{label}_total_time"] = run["total_time"]
     return results
 
 

@@ -23,8 +23,9 @@ from ..faults import FaultInjector, FaultPlan
 from ..sandbox import ResourceLimits, Testbed
 from .common import (
     FigureResult,
-    build_viz_controller,
+    build_controller,
     start_estimate_exchanges,
+    vary,
     viz_initial_point,
     viz_preference,
 )
@@ -98,7 +99,7 @@ def build_chaos(
 
     ins = instruments or Instruments()
     app = make_viz_app()
-    _scheduler, controller = build_viz_controller(app, db, preference, ins)
+    controller = build_controller(app, db, preference, ins)
     config = controller.select_initial(initial_point).config
 
     testbed = Testbed(
@@ -138,7 +139,7 @@ def build_chaos(
 
     # Estimate exchange in both directions; the client side feeds the
     # controller's watchdog with server heartbeats.
-    server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
+    client_ex, server_ex = start_estimate_exchanges(rt, controller)
 
     detector = ins.attach(testbed, config).detector
     if detector is not None:
@@ -150,13 +151,9 @@ def build_chaos(
                 exchange, "peer_last_seen", f"{label}.peer_last_seen"
             )
 
-    def vary():
-        for at, net_bw in variations:
-            yield testbed.sim.timeout(at - testbed.sim.now)
-            rt.sandboxes["client"].set_limits(ResourceLimits(net_bw=net_bw))
-
     if variations:
-        testbed.sim.process(vary())
+        steps = [(at, ResourceLimits(net_bw=bw)) for at, bw in variations]
+        testbed.sim.process(vary(testbed, rt.sandboxes["client"], steps))
 
     def _finalize():
         testbed.shutdown()

@@ -16,7 +16,7 @@ serial path byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..exec import sweep_cells
 
@@ -28,8 +28,11 @@ __all__ = [
     "sweep_cells",
     "viz_preference",
     "viz_initial_point",
-    "build_viz_controller",
+    "VIZ_TUNING",
+    "build_controller",
+    "build_adaptive_session",
     "start_estimate_exchanges",
+    "vary",
     "closed_loop_viz_user",
 ]
 
@@ -183,34 +186,38 @@ def viz_initial_point():
     return ResourcePoint({"client.cpu": 1.0, "client.network": 500e3})
 
 
-def build_viz_controller(app, db, preference, instruments):
-    """Scheduler + adaptation controller with the experiments' tuning.
+#: The monitor window/cooldown and steering retry policy the fault, crowd
+#: and fig5-session experiments have used since the chaos run was first
+#: benchmarked — change them and replay byte-identity breaks.
+VIZ_TUNING: Dict[str, Any] = {
+    "monitor_kwargs": {"window": 2.0, "cooldown": 5.0, "period": 0.01},
+    "steering_kwargs": {"ack_timeout": 2.0, "max_retries": 2, "backoff": 2.0},
+    "watchdog_period": 0.5,
+}
 
-    Returns ``(scheduler, controller)``; the monitor window/cooldown and
-    steering retry policy are the values every experiment has used since
-    the chaos run was first benchmarked — change them there and here
-    together or replay byte-identity breaks.
+
+def build_controller(app, db, preference, instruments, tuning=VIZ_TUNING,
+                     optimality_slack=0.1):
+    """Adaptation controller (and its scheduler) for ``app`` over ``db``.
+
+    ``tuning`` holds :class:`~repro.runtime.AdaptationController` keyword
+    arguments; ``optimality_slack`` is the scheduler's.
     """
     from ..runtime import AdaptationController, ResourceScheduler
     from ..tunable import Preprocessor
 
-    scheduler = ResourceScheduler(db, preference)
-    controller = AdaptationController(
-        scheduler,
+    return AdaptationController(
+        ResourceScheduler(db, preference, optimality_slack=optimality_slack),
         monitoring_plan=Preprocessor(app).monitoring_plan(),
-        monitor_kwargs={"window": 2.0, "cooldown": 5.0, "period": 0.01},
-        steering_kwargs={"ack_timeout": 2.0, "max_retries": 2, "backoff": 2.0},
-        watchdog_period=0.5,
         recorder=instruments.recorder,
+        **tuning,
     )
-    return scheduler, controller
 
 
 def start_estimate_exchanges(rt, controller):
     """Bidirectional estimate exchange + controller watchdog.
 
-    Returns ``(server_agent, client_ex, server_ex)`` — the server-side
-    monitoring agent and both exchange endpoints, already started.
+    Returns both exchange endpoints ``(client_ex, server_ex)``, started.
     """
     from ..runtime import MonitorExchange, MonitoringAgent
 
@@ -224,7 +231,79 @@ def start_estimate_exchanges(rt, controller):
         stale_after=2.0, heartbeat_every=0.5,
     ).start()
     controller.start_watchdog(client_ex)
-    return server_agent, client_ex, server_ex
+    return client_ex, server_ex
+
+
+def vary(testbed, sandbox, steps):
+    """Process body: set ``sandbox``'s limits at each ``(at, limits)`` step."""
+    for at, limits in steps:
+        yield testbed.sim.timeout(at - testbed.sim.now)
+        sandbox.set_limits(limits)
+
+
+def build_adaptive_session(
+    name: str, app, db, preference, initial_point,
+    limits: Mapping[str, Any], variations: Tuple = (), *,
+    workload, summarize: Callable, forced_config=None, tuning=VIZ_TUNING,
+    optimality_slack: float = 0.1, exchanges: bool = False,
+    sandbox_kwargs: Optional[Mapping[str, Any]] = None, seed: int = 0,
+    until: float = 10_000.0, instruments=None,
+):
+    """One application session under run-time adaptation, as a Scene.
+
+    ``app`` runs ``workload`` over ``db`` in a testbed whose one limited
+    sandbox starts at ``limits`` (``{host: ResourceLimits}``) and is
+    retargeted by the ``(at, ResourceLimits)`` steps of ``variations``.
+    Without ``forced_config`` the controller (see :func:`build_controller`)
+    picks the start configuration for ``initial_point`` and adapts, with
+    the estimate exchange if ``exchanges``; with one, the run is static.
+    ``finalize`` checks the run finished and returns ``summarize(scene)``,
+    the ``(figure, payload)`` each caller shapes.
+
+    The construction order (controller, selection, testbed, instantiate,
+    attach, exchanges, ``instruments.attach``, ``vary``) is pinned by the
+    payload and trace digests of every caller.
+    """
+    from ..sandbox import Testbed
+    from .scene import Instruments, Scene
+
+    ins = instruments or Instruments()
+    controller = build_controller(app, db, preference, ins, tuning, optimality_slack)
+    adaptive = forced_config is None
+    config = forced_config
+    if adaptive:
+        config = controller.select_initial(initial_point).config
+    testbed = Testbed(
+        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
+        seed=seed, tiebreak=ins.tiebreak,
+    )
+    rt = app.instantiate(
+        testbed, config, limits=limits, workload=workload,
+        sandbox_kwargs=sandbox_kwargs,
+    )
+    client_ex = server_ex = None
+    if adaptive:
+        controller.attach(rt)
+        if exchanges:
+            client_ex, server_ex = start_estimate_exchanges(rt, controller)
+    ins.attach(testbed, config)
+    if variations:
+        (host,) = limits
+        testbed.sim.process(vary(testbed, rt.sandboxes[host], variations))
+
+    def _finalize():
+        testbed.shutdown()
+        if not rt.finished.triggered:
+            raise RuntimeError(f"{name} run did not finish by t={until}")
+        return summarize(scene)
+
+    scene = Scene(
+        name=name, seed=seed, until=until, testbed=testbed,
+        finalize=_finalize, instruments=ins, rt=rt,
+        controller=controller if adaptive else None, workload=workload,
+        client_exchange=client_ex, server_exchange=server_ex,
+    )
+    return scene
 
 
 def closed_loop_viz_user(rt, workload, model, uid, spec, seed, stats,

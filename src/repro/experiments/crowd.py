@@ -46,7 +46,7 @@ from ..sandbox import ResourceLimits, Testbed
 from ..tunable import Configuration
 from .common import (
     FigureResult,
-    build_viz_controller,
+    build_controller,
     closed_loop_viz_user,
     start_estimate_exchanges,
     sweep_cells,
@@ -198,7 +198,7 @@ def build_crowd(
 
     ins = instruments or Instruments()
     app = make_viz_app()
-    _scheduler, controller = build_viz_controller(app, db, preference, ins)
+    controller = build_controller(app, db, preference, ins)
     config = controller.select_initial(initial_point).config
 
     testbed = Testbed(
@@ -213,7 +213,7 @@ def build_crowd(
         workload=workload,
     )
     controller.attach(rt)
-    server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
+    client_ex, server_ex = start_estimate_exchanges(rt, controller)
 
     source: Optional[CrowdSource] = None
     agent: Optional[CrowdAgent] = None

@@ -23,17 +23,13 @@ from ..profiling import (
     ResourceDimension,
     ResourcePoint,
 )
-from ..runtime import (
-    AdaptationController,
-    Objective,
-    ResourceScheduler,
-    UserPreference,
-)
+from ..runtime import Objective, UserPreference
 from ..sandbox import ResourceLimits, Testbed
-from ..tunable import Preprocessor
-from .common import FigureResult
+from ..tunable import Configuration
+from .common import FigureResult, build_adaptive_session
+from .scene import Instruments, Scene
 
-__all__ = ["memory_database", "run_memory_adaptation"]
+__all__ = ["build_memory_session", "memory_database", "run_memory_adaptation"]
 
 #: Disk-backed paging cost (seconds per fault).
 FAULT_COST = 2e-3
@@ -86,6 +82,62 @@ def memory_database(
     return db, app.configurations()
 
 
+def build_memory_session(
+    seed: int = 0,
+    drop_at_sweep_time: float = 2.0,
+    from_pages: int = 4000,
+    to_pages: int = 300,
+    db: Optional[PerformanceDatabase] = None,
+    forced_config: Optional[Configuration] = None,
+    instruments: Optional[Instruments] = None,
+) -> Scene:
+    """One memory-bound session whose resident limit drops mid-run.
+
+    The controller picks the tile for ``from_pages`` and re-tiles after
+    the drop to ``to_pages``; with ``forced_config`` the run is static.
+    """
+    if db is None:
+        db, _ = memory_database(seed=seed)
+    return build_adaptive_session(
+        "ext-memory", make_membound_app(), db,
+        UserPreference.single(Objective("elapsed")),
+        ResourcePoint({"node.memory": float(from_pages)}),
+        {"node": ResourceLimits(mem_pages=from_pages)},
+        ((drop_at_sweep_time, ResourceLimits(mem_pages=to_pages)),),
+        workload=MemWorkload(sweeps=24),
+        summarize=_summarize_memory_session,
+        forced_config=forced_config,
+        tuning={"monitor_kwargs": {"window": 0.5, "cooldown": 1.0}},
+        sandbox_kwargs={"fault_cost": FAULT_COST},
+        seed=seed,
+        until=3600.0,
+        instruments=instruments,
+    )
+
+
+def _summarize_memory_session(scene) -> Tuple[FigureResult, Dict]:
+    rt = scene.rt
+    label = "adaptive" if scene.controller is not None else "static"
+    figure = FigureResult(
+        figure="Ext M",
+        title=f"Page faults per sweep of the {label} memory run",
+        xlabel="sweep",
+        ylabel="page faults",
+    )
+    series = figure.new_series(label)
+    for sweep, faults in scene.workload.fault_log:
+        series.add(sweep, faults)
+    return figure, {
+        "elapsed": rt.qos.get("elapsed"),
+        "faults": rt.qos.get("faults"),
+        "switches": [
+            {"t": t, "from": old.label(), "to": new.label()}
+            for t, old, new in rt.controls.history
+        ],
+        "final_config": rt.controls.current.label(),
+    }
+
+
 def run_memory_adaptation(
     seed: int = 0,
     drop_at_sweep_time: float = 2.0,
@@ -93,61 +145,12 @@ def run_memory_adaptation(
     to_pages: int = 300,
     db: Optional[PerformanceDatabase] = None,
 ) -> Tuple[FigureResult, Dict]:
-    """Adaptive run: resident limit drops mid-computation.
+    """Adaptive run and static run from the same start: the limit drops.
 
     Returns the per-sweep fault figure and a dict with the runs' outcomes.
     """
     if db is None:
         db, _ = memory_database(seed=seed)
-    app = make_membound_app()
-    pref = UserPreference.single(Objective("elapsed"))
-    scheduler = ResourceScheduler(db, pref)
-    controller = AdaptationController(
-        scheduler,
-        monitoring_plan=Preprocessor(app).monitoring_plan(),
-        monitor_kwargs={"window": 0.5, "cooldown": 1.0},
-    )
-    decision = controller.select_initial(
-        ResourcePoint({"node.memory": float(from_pages)})
-    )
-
-    outcomes: Dict[str, object] = {"initial_config": decision.config}
-    runs = {}
-    for adaptive in (True, False):
-        testbed = Testbed(host_specs=app.env.host_specs(), seed=seed)
-        workload = MemWorkload(sweeps=24)
-        rt = app.instantiate(
-            testbed,
-            decision.config,
-            limits={"node": ResourceLimits(mem_pages=from_pages)},
-            workload=workload,
-            sandbox_kwargs={"fault_cost": FAULT_COST},
-        )
-        if adaptive:
-            ctl = AdaptationController(
-                ResourceScheduler(db, pref),
-                monitoring_plan=Preprocessor(app).monitoring_plan(),
-                monitor_kwargs={"window": 0.5, "cooldown": 1.0},
-            )
-            ctl.current_decision = decision
-            ctl.attach(rt)
-
-        def vary(rt=rt):
-            yield testbed.sim.timeout(drop_at_sweep_time)
-            rt.sandboxes["node"].set_limits(ResourceLimits(mem_pages=to_pages))
-
-        testbed.sim.process(vary())
-        testbed.run(until=3600)
-        testbed.shutdown()
-        key = "adaptive" if adaptive else "static"
-        runs[key] = {
-            "workload": workload,
-            "elapsed": rt.qos.get("elapsed"),
-            "faults": rt.qos.get("faults"),
-            "switches": list(rt.controls.history),
-        }
-    outcomes["runs"] = runs
-
     figure = FigureResult(
         figure="Ext M",
         title=f"Adapting tile size when the resident limit drops "
@@ -155,10 +158,26 @@ def run_memory_adaptation(
         xlabel="sweep",
         ylabel="page faults",
     )
-    for key in ("adaptive", "static"):
-        series = figure.new_series(key)
-        for sweep, faults in runs[key]["workload"].fault_log:
-            series.add(sweep, faults)
+    runs: Dict[str, Dict] = {}
+
+    def run(key: str, forced_config: Optional[Configuration] = None) -> Scene:
+        scene = build_memory_session(
+            seed, drop_at_sweep_time, from_pages, to_pages, db, forced_config
+        )
+        run_figure, payload = scene.run()
+        figure.series[key] = run_figure.series[key]
+        runs[key] = {
+            "workload": scene.workload,
+            "elapsed": payload["elapsed"],
+            "faults": payload["faults"],
+            "switches": list(scene.rt.controls.history),
+        }
+        return scene
+
+    # The static run keeps the tile the adaptive run was configured with.
+    initial_config = run("adaptive").controller.events[0].config
+    run("static", initial_config)
+    outcomes = {"initial_config": initial_config, "runs": runs}
     if runs["adaptive"]["switches"]:
         t, old, new = runs["adaptive"]["switches"][0]
         figure.note(f"adaptive re-tiled {old.tile} -> {new.tile} at t={t:.2f}s")

@@ -15,7 +15,7 @@ from typing import List, Tuple
 from ..apps import make_toy_app
 from ..sandbox import DaemonSpec, LimiterMode, ResourceLimits, Testbed
 from ..tunable import Configuration
-from .common import FigureResult, sweep_cells
+from .common import FigureResult, sweep_cells, vary
 
 __all__ = ["run_fig3a", "run_fig3b"]
 
@@ -37,12 +37,8 @@ def run_fig3a(
     sandbox = rt.sandboxes["node"]
     sandbox.trace_usage = True
 
-    def vary():
-        for t, share in schedule[1:]:
-            yield testbed.sim.timeout(t - testbed.sim.now)
-            sandbox.set_limits(ResourceLimits(cpu_share=share))
-
-    testbed.sim.process(vary())
+    steps = [(t, ResourceLimits(cpu_share=s)) for t, s in schedule[1:]]
+    testbed.sim.process(vary(testbed, sandbox, steps))
     testbed.run(until=duration)
     testbed.shutdown()
 

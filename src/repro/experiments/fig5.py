@@ -21,9 +21,9 @@ from ..profiling import (
     ResourcePoint,
     vary_one_plan,
 )
-from ..sandbox import ResourceLimits, Testbed
+from ..sandbox import ResourceLimits
 from ..tunable import Configuration
-from .common import FigureResult, build_viz_controller, start_estimate_exchanges
+from .common import FigureResult, build_adaptive_session
 from .scene import Instruments, Scene
 
 __all__ = [
@@ -142,62 +142,28 @@ def build_fig5_session(
         Objective("transmit_time", "minimize"),
         [MetricRange("response_time", hi=1.0)],
     )
-    initial_point = ResourcePoint(
-        {"client.cpu": 0.9, "client.network": EXP3_BW}
-    )
 
-    ins = instruments or Instruments()
-    app = make_viz_app()
-    _scheduler, controller = build_viz_controller(app, db, preference, ins)
-    config = controller.select_initial(initial_point).config
-
-    testbed = Testbed(
-        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=ins.tiebreak,
-    )
-    workload = VizWorkload(n_images=n_images, costs=EXP3_COSTS, seed=seed)
-    rt = app.instantiate(
-        testbed,
-        config,
-        limits={"client": ResourceLimits(cpu_share=0.9, net_bw=EXP3_BW)},
-        workload=workload,
-    )
-    controller.attach(rt)
-    server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
-
-    ins.attach(testbed, config)
-
-    def vary():
-        for at, share in variations:
-            yield testbed.sim.timeout(at - testbed.sim.now)
-            rt.sandboxes["client"].set_limits(
-                ResourceLimits(cpu_share=share, net_bw=EXP3_BW)
-            )
-
-    if variations:
-        testbed.sim.process(vary())
-
-    def _finalize():
-        testbed.shutdown()
-        if not rt.finished.triggered:
-            raise RuntimeError(f"fig5 session did not finish by t={until}")
-        return _summarize_fig5_session(
-            seed=seed, n_images=n_images, variations=variations,
-            controller=controller, rt=rt, workload=workload, testbed=testbed,
-            client_ex=client_ex, server_ex=server_ex,
-        )
-
-    return Scene(
-        name="fig5", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, instruments=ins, rt=rt, controller=controller,
-        workload=workload, client_exchange=client_ex, server_exchange=server_ex,
+    return build_adaptive_session(
+        "fig5", make_viz_app(), db, preference,
+        ResourcePoint({"client.cpu": 0.9, "client.network": EXP3_BW}),
+        {"client": ResourceLimits(cpu_share=0.9, net_bw=EXP3_BW)},
+        tuple(
+            (at, ResourceLimits(cpu_share=share, net_bw=EXP3_BW))
+            for at, share in variations
+        ),
+        workload=VizWorkload(n_images=n_images, costs=EXP3_COSTS, seed=seed),
+        summarize=lambda scene: _summarize_fig5_session(
+            scene, seed, n_images, variations
+        ),
+        exchanges=True, seed=seed, until=until,
+        instruments=instruments,
     )
 
 
 def _summarize_fig5_session(
-    seed, n_images, variations, controller, rt, workload, testbed,
-    client_ex, server_ex,
+    scene, seed, n_images, variations
 ) -> Tuple[FigureResult, Dict]:
+    controller, rt, workload = scene.controller, scene.rt, scene.workload
     payload: Dict = {
         "experiment": "fig5_session",
         "seed": seed,
@@ -219,12 +185,12 @@ def _summarize_fig5_session(
         "qos": rt.qos.snapshot(),
         "image_times": [[t, d] for t, d in workload.image_times],
         "network": {
-            "delivered": testbed.network.messages_delivered,
-            "lost": testbed.network.messages_lost,
+            "delivered": scene.testbed.network.messages_delivered,
+            "lost": scene.testbed.network.messages_lost,
         },
         "exchange": {
-            "client_updates_received": client_ex.updates_received,
-            "server_updates_received": server_ex.updates_received,
+            "client_updates_received": scene.client_exchange.updates_received,
+            "server_updates_received": scene.server_exchange.updates_received,
         },
         "total_time": workload.image_times[-1][0] if workload.image_times else 0.0,
     }

@@ -18,39 +18,28 @@ per-image metrics versus time:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..apps.visualization import VizWorkload, make_viz_app
+from ..apps.visualization import VizCosts, VizWorkload, make_viz_app
 from ..profiling import PerformanceDatabase, ResourcePoint
-from ..runtime import (
-    AdaptationController,
-    AdaptationEvent,
-    Objective,
-    ResourceScheduler,
-    UserPreference,
-)
-from ..sandbox import ResourceLimits, Testbed
-from ..tunable import Configuration, MetricRange, Preprocessor
-from .common import FigureResult, sweep_cells
+from ..runtime import AdaptationEvent, Objective, UserPreference
+from ..sandbox import ResourceLimits
+from ..tunable import Configuration, MetricRange
+from .common import FigureResult, build_adaptive_session, sweep_cells
 from .fig5 import EXP3_BW, EXP3_COSTS, fig5_database
 from .fig6 import EXP1_COSTS, EXP2_BW, EXP2_COSTS, fig6a_database, fig6b_database
+from .scene import Instruments, Scene
 
 __all__ = [
     "AdaptiveRun",
-    "run_adaptive_viz",
+    "EXPERIMENTS",
+    "build_fig7_run",
     "run_experiment1",
     "run_experiment2",
     "run_experiment3",
-    "ResourceVariation",
+    "summarize_run",
 ]
-
-
-@dataclass(frozen=True)
-class ResourceVariation:
-    """Change the client sandbox limits at a point in time."""
-
-    at: float
-    limits: ResourceLimits
 
 
 @dataclass
@@ -132,102 +121,161 @@ class AdaptiveRun:
         )
 
 
-def run_adaptive_viz(
-    db: PerformanceDatabase,
-    preference: UserPreference,
-    initial_point: ResourcePoint,
-    initial_limits: Dict[str, ResourceLimits],
-    variations: Tuple[ResourceVariation, ...],
-    workload_costs,
-    n_images: int = 10,
-    adaptive: bool = True,
-    forced_config: Optional[Configuration] = None,
-    scheduler_mode: str = "interpolate",
-    label: str = "",
-    seed: int = 0,
-    until: float = 10_000.0,
-    monitor_kwargs: Optional[dict] = None,
-    optimality_slack: float = 0.1,
-) -> AdaptiveRun:
-    """Run the visualization app under a resource-variation scenario.
-
-    With ``adaptive=False`` and ``forced_config``, runs a static
-    configuration for the comparison curves of Fig. 7.
-    """
-    app = make_viz_app()
-    scheduler = ResourceScheduler(
-        db, preference, mode=scheduler_mode, optimality_slack=optimality_slack
-    )
-    controller = AdaptationController(
-        scheduler,
-        monitoring_plan=Preprocessor(app).monitoring_plan(),
-        monitor_kwargs=monitor_kwargs
-        or {"window": 2.0, "cooldown": 5.0, "period": 0.01},
-    )
-    if forced_config is not None:
-        config = forced_config
-    else:
-        config = controller.select_initial(initial_point).config
-
-    testbed = Testbed(
-        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(), seed=seed
-    )
-    workload = VizWorkload(n_images=n_images, costs=workload_costs, seed=seed)
-    rt = app.instantiate(testbed, config, limits=initial_limits, workload=workload)
-    if adaptive:
-        if forced_config is not None:
-            controller.current_decision = scheduler.select(initial_point)
-        controller.attach(rt)
-
-    def vary():
-        for variation in variations:
-            yield testbed.sim.timeout(variation.at - testbed.sim.now)
-            rt.sandboxes["client"].set_limits(variation.limits)
-
-    if variations:
-        testbed.sim.process(vary())
-    testbed.run(until=until)
-    testbed.shutdown()
-    if not rt.finished.triggered:
-        raise RuntimeError(f"run {label!r} did not finish by t={until}")
-    return AdaptiveRun(
-        label=label or (config.label() if not adaptive else "adaptive"),
+def summarize_run(label: str, scene: Scene) -> Tuple[FigureResult, Dict]:
+    """One finished visualization session as (figure, :class:`AdaptiveRun` dict)."""
+    rt, workload = scene.rt, scene.workload
+    run = AdaptiveRun(
+        label=label,
         qos=rt.qos.snapshot(),
         image_times=list(workload.image_times),
         round_times=list(workload.round_times),
         switches=list(rt.controls.history),
-        events=list(controller.events) if adaptive else [],
+        events=list(scene.controller.events) if scene.controller else [],
         total_time=workload.image_times[-1][0] if workload.image_times else 0.0,
     )
-
-
-# ------------------------------------------------------------ experiment 1
-
-
-def _exp1_cell(payload: dict, seed: int) -> dict:
-    """Sweep job: one Experiment-1 run (``run``: adaptive | lzw | bzip2)."""
-    db = PerformanceDatabase.from_dict(payload["db"])
-    preference = UserPreference.single(Objective("transmit_time", "minimize"))
-    initial_point = ResourcePoint({"client.cpu": 1.0, "client.network": 500e3})
-    initial_limits = {"client": ResourceLimits(net_bw=500e3)}
-    variations = (
-        ResourceVariation(payload["switch_at"], ResourceLimits(net_bw=50e3)),
+    figure = FigureResult(
+        figure=scene.name, title=f"{label} run", xlabel="time (s)",
+        ylabel="image transmission time (s)",
     )
-    run = payload["run"]
-    if run == "adaptive":
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP1_COSTS, n_images=payload["n_images"], label="adaptive",
-            seed=seed,
-        )
-    else:
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP1_COSTS, n_images=payload["n_images"], adaptive=False,
-            forced_config=Configuration({"dR": 320, "c": run, "l": 4}),
-            label=f"static {run}", seed=seed,
-        )
-    return out.to_dict()
+    _plot(figure, {label: run}, "image_times")
+    return figure, run.to_dict()
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One Section 7 experiment: its scenario and its comparison runs.
+
+    The client sandbox starts at ``limits`` (resources ``point``) and is
+    retargeted to ``varied`` at ``switch_at``.  The preference optimizes
+    ``objective``, subject to ``bounded <= bound`` when ``bounded`` names
+    a metric.  ``statics`` maps each static comparison run to its label
+    and forced configuration; ``database`` profiles the experiment's
+    performance database.
+    """
+
+    database: Callable
+    costs: VizCosts
+    objective: Objective
+    bounded: Optional[str]
+    point: Dict[str, float]
+    limits: ResourceLimits
+    varied: ResourceLimits
+    statics: Dict[str, Tuple[str, Configuration]]
+    n_images: int
+    switch_at: float
+    bound: Optional[float] = None
+
+
+def _config(dR: int = 320, c: str = "lzw", l: int = 4) -> Configuration:
+    return Configuration({"dR": dR, "c": c, "l": l})
+
+
+#: The Section 7 experiments, keyed by their figure.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig7a": Experiment(
+        fig6a_database, EXP1_COSTS, Objective("transmit_time", "minimize"),
+        None, {"client.cpu": 1.0, "client.network": 500e3},
+        ResourceLimits(net_bw=500e3), ResourceLimits(net_bw=50e3),
+        {"lzw": ("static lzw", _config()),
+         "bzip2": ("static bzip2", _config(c="bzip2"))},
+        n_images=10, switch_at=25.0,
+    ),
+    "fig7b": Experiment(
+        fig6b_database, EXP2_COSTS, Objective("resolution", "maximize"),
+        "transmit_time", {"client.cpu": 0.9, "client.network": EXP2_BW},
+        ResourceLimits(cpu_share=0.9, net_bw=EXP2_BW),
+        ResourceLimits(cpu_share=0.4, net_bw=EXP2_BW),
+        {"l4": ("static level 4", _config()),
+         "l3": ("static level 3", _config(l=3))},
+        n_images=10, switch_at=30.0, bound=10.0,
+    ),
+    "fig7cd": Experiment(
+        fig5_database, EXP3_COSTS, Objective("transmit_time", "minimize"),
+        "response_time", {"client.cpu": 0.9, "client.network": EXP3_BW},
+        ResourceLimits(cpu_share=0.9, net_bw=EXP3_BW),
+        ResourceLimits(cpu_share=0.4, net_bw=EXP3_BW),
+        {"dR320": ("static fovea 320", _config()),
+         "dR80": ("static fovea 80", _config(dR=80))},
+        n_images=16, switch_at=40.0, bound=1.0,
+    ),
+}
+
+#: Section 7's controller tuning: the controller defaults, with the
+#: experiments' 2 s monitor window and 5 s cooldown.
+FIG7_TUNING = {"monitor_kwargs": {"window": 2.0, "cooldown": 5.0, "period": 0.01}}
+
+
+def build_fig7_run(
+    experiment: str, run: str = "adaptive", seed: int = 0,
+    n_images: Optional[int] = None, switch_at: Optional[float] = None,
+    bound: Optional[float] = None, db: Optional[PerformanceDatabase] = None,
+    instruments: Optional[Instruments] = None,
+) -> Scene:
+    """One run of a Section 7 experiment (:data:`EXPERIMENTS`) as a Scene.
+
+    ``run`` is ``"adaptive"`` or one of the experiment's static keys.
+    Unset parameters take the experiment's defaults; ``db`` defaults to
+    its profiling database at ``seed``.  The payload is the run's
+    :meth:`AdaptiveRun.to_dict`.
+    """
+    spec = EXPERIMENTS[experiment]
+    n_images = spec.n_images if n_images is None else n_images
+    switch_at = spec.switch_at if switch_at is None else switch_at
+    bound = spec.bound if bound is None else bound
+    if db is None:
+        db, _dims, _configs = spec.database(seed=seed)
+    ranges = [MetricRange(spec.bounded, hi=bound)] if spec.bounded else []
+    label, forced = ("adaptive", None) if run == "adaptive" else spec.statics[run]
+    return build_adaptive_session(
+        experiment, make_viz_app(), db,
+        UserPreference.single(spec.objective, ranges),
+        ResourcePoint(spec.point), {"client": spec.limits},
+        ((switch_at, spec.varied),),
+        workload=VizWorkload(n_images=n_images, costs=spec.costs, seed=seed),
+        summarize=partial(summarize_run, label),
+        forced_config=forced, tuning=FIG7_TUNING,
+        seed=seed, instruments=instruments,
+    )
+
+
+#: The registered Scene builders (``scene.SCENARIOS``): each experiment's
+#: adaptive run.
+build_fig7a = partial(build_fig7_run, "fig7a")
+build_fig7b = partial(build_fig7_run, "fig7b")
+build_fig7cd = partial(build_fig7_run, "fig7cd")
+
+
+def _cell(payload: dict, seed: int) -> dict:
+    """Sweep job: one Section 7 run, as :meth:`AdaptiveRun.to_dict`."""
+    db = PerformanceDatabase.from_dict(payload["db"])
+    return build_fig7_run(seed=seed, **dict(payload, db=db)).run()[1]
+
+
+def _runs(
+    experiment: str, seed: int, db, engine, **params: Any
+) -> Dict[str, AdaptiveRun]:
+    """The adaptive and the static runs of one experiment, as sweep cells."""
+    spec = EXPERIMENTS[experiment]
+    if db is None:
+        db, _dims, _configs = spec.database(seed=seed, engine=engine)
+    keys = ("adaptive", *spec.statics)
+    db_dict = db.to_dict()
+    values = sweep_cells(
+        "repro.experiments.fig7:_cell",
+        [dict(params, experiment=experiment, run=key, db=db_dict) for key in keys],
+        seed=seed,
+        engine=engine,
+    )
+    return {key: AdaptiveRun.from_dict(value) for key, value in zip(keys, values)}
+
+
+def _plot(figure: FigureResult, runs: Dict[str, AdaptiveRun], attr: str,
+          labels: Optional[Dict[str, str]] = None) -> None:
+    """One series of ``attr`` per run, named by ``labels`` or the run label."""
+    for key, run in runs.items():
+        series = figure.new_series((labels or {}).get(key, run.label))
+        for t, duration in getattr(run, attr):
+            series.add(t, duration)
 
 
 def run_experiment1(
@@ -238,23 +286,8 @@ def run_experiment1(
     engine=None,
 ) -> Tuple[FigureResult, Dict[str, AdaptiveRun]]:
     """Adapting the compression method to network conditions (Fig. 7a)."""
-    if db is None:
-        db, _dims, _configs = fig6a_database(seed=seed, engine=engine)
-    keys = ("adaptive", "lzw", "bzip2")
-    db_dict = db.to_dict()
-    values = sweep_cells(
-        "repro.experiments.fig7:_exp1_cell",
-        [
-            {"db": db_dict, "run": key, "n_images": n_images,
-             "switch_at": switch_at}
-            for key in keys
-        ],
-        seed=seed,
-        engine=engine,
-    )
-    runs: Dict[str, AdaptiveRun] = {
-        key: AdaptiveRun.from_dict(value) for key, value in zip(keys, values)
-    }
+    runs = _runs("fig7a", seed, db, engine, n_images=n_images,
+                 switch_at=switch_at)
 
     result = FigureResult(
         figure="Fig 7a",
@@ -263,11 +296,8 @@ def run_experiment1(
         xlabel="time (s)",
         ylabel="image transmission time (s)",
     )
-    for key, label in (("adaptive", "adaptive"), ("lzw", "static A (LZW)"),
-                       ("bzip2", "static B (bzip2)")):
-        series = result.new_series(label)
-        for t, duration in runs[key].image_series:
-            series.add(t, duration)
+    _plot(result, runs, "image_times",
+          {"lzw": "static A (LZW)", "bzip2": "static B (bzip2)"})
     if runs["adaptive"].switches:
         t_switch, old, new = runs["adaptive"].switches[0]
         result.note(
@@ -281,43 +311,6 @@ def run_experiment1(
     return result, runs
 
 
-# ------------------------------------------------------------ experiment 2
-
-
-def _exp2_cell(payload: dict, seed: int) -> dict:
-    """Sweep job: one Experiment-2 run (``run``: adaptive | l4 | l3)."""
-    db = PerformanceDatabase.from_dict(payload["db"])
-    preference = UserPreference.single(
-        Objective("resolution", "maximize"),
-        [MetricRange("transmit_time", hi=payload["deadline"])],
-    )
-    initial_point = ResourcePoint({"client.cpu": 0.9, "client.network": EXP2_BW})
-    initial_limits = {
-        "client": ResourceLimits(cpu_share=0.9, net_bw=EXP2_BW)
-    }
-    variations = (
-        ResourceVariation(
-            payload["switch_at"], ResourceLimits(cpu_share=0.4, net_bw=EXP2_BW)
-        ),
-    )
-    run = payload["run"]
-    if run == "adaptive":
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP2_COSTS, n_images=payload["n_images"], label="adaptive",
-            seed=seed,
-        )
-    else:
-        level = int(run[1:])
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP2_COSTS, n_images=payload["n_images"], adaptive=False,
-            forced_config=Configuration({"dR": 320, "c": "lzw", "l": level}),
-            label=f"static level {level}", seed=seed,
-        )
-    return out.to_dict()
-
-
 def run_experiment2(
     seed: int = 0,
     n_images: int = 10,
@@ -327,23 +320,8 @@ def run_experiment2(
     engine=None,
 ) -> Tuple[FigureResult, Dict[str, AdaptiveRun]]:
     """Adapting image resolution to CPU conditions (Fig. 7b)."""
-    if db is None:
-        db, _dims, _configs = fig6b_database(seed=seed, engine=engine)
-    keys = ("adaptive", "l4", "l3")
-    db_dict = db.to_dict()
-    values = sweep_cells(
-        "repro.experiments.fig7:_exp2_cell",
-        [
-            {"db": db_dict, "run": key, "n_images": n_images,
-             "switch_at": switch_at, "deadline": deadline}
-            for key in keys
-        ],
-        seed=seed,
-        engine=engine,
-    )
-    runs: Dict[str, AdaptiveRun] = {
-        key: AdaptiveRun.from_dict(value) for key, value in zip(keys, values)
-    }
+    runs = _runs("fig7b", seed, db, engine, n_images=n_images,
+                 switch_at=switch_at, bound=deadline)
 
     result = FigureResult(
         figure="Fig 7b",
@@ -352,52 +330,11 @@ def run_experiment2(
         xlabel="time (s)",
         ylabel="image transmission time (s)",
     )
-    for key, label in (("adaptive", "adaptive"), ("l4", "static level 4"),
-                       ("l3", "static level 3")):
-        series = result.new_series(label)
-        for t, duration in runs[key].image_series:
-            series.add(t, duration)
+    _plot(result, runs, "image_times")
     if runs["adaptive"].switches:
         t_switch, old, new = runs["adaptive"].switches[0]
         result.note(f"adaptive switched level {old.l} -> {new.l} at t={t_switch:.1f}s")
     return result, runs
-
-
-# ------------------------------------------------------------ experiment 3
-
-
-def _exp3_cell(payload: dict, seed: int) -> dict:
-    """Sweep job: one Experiment-3 run (``run``: adaptive | dR320 | dR80)."""
-    db = PerformanceDatabase.from_dict(payload["db"])
-    preference = UserPreference.single(
-        Objective("transmit_time", "minimize"),
-        [MetricRange("response_time", hi=payload["response_bound"])],
-    )
-    initial_point = ResourcePoint({"client.cpu": 0.9, "client.network": EXP3_BW})
-    initial_limits = {
-        "client": ResourceLimits(cpu_share=0.9, net_bw=EXP3_BW)
-    }
-    variations = (
-        ResourceVariation(
-            payload["switch_at"], ResourceLimits(cpu_share=0.4, net_bw=EXP3_BW)
-        ),
-    )
-    run = payload["run"]
-    if run == "adaptive":
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP3_COSTS, n_images=payload["n_images"], label="adaptive",
-            seed=seed,
-        )
-    else:
-        dr = int(run[2:])
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP3_COSTS, n_images=payload["n_images"], adaptive=False,
-            forced_config=Configuration({"dR": dr, "c": "lzw", "l": 4}),
-            label=f"static fovea {dr}", seed=seed,
-        )
-    return out.to_dict()
 
 
 def run_experiment3(
@@ -409,23 +346,8 @@ def run_experiment3(
     engine=None,
 ) -> Tuple[FigureResult, FigureResult, Dict[str, AdaptiveRun]]:
     """Adapting fovea size to CPU conditions (Figs. 7c and 7d)."""
-    if db is None:
-        db, _dims, _configs = fig5_database(seed=seed, engine=engine)
-    keys = ("adaptive", "dR320", "dR80")
-    db_dict = db.to_dict()
-    values = sweep_cells(
-        "repro.experiments.fig7:_exp3_cell",
-        [
-            {"db": db_dict, "run": key, "n_images": n_images,
-             "switch_at": switch_at, "response_bound": response_bound}
-            for key in keys
-        ],
-        seed=seed,
-        engine=engine,
-    )
-    runs: Dict[str, AdaptiveRun] = {
-        key: AdaptiveRun.from_dict(value) for key, value in zip(keys, values)
-    }
+    runs = _runs("fig7cd", seed, db, engine, n_images=n_images,
+                 switch_at=switch_at, bound=response_bound)
 
     fig_c = FigureResult(
         figure="Fig 7c",
@@ -440,14 +362,8 @@ def run_experiment3(
         xlabel="time (s)",
         ylabel="image transmission time (s)",
     )
-    for key, label in (("adaptive", "adaptive"), ("dR320", "static fovea 320"),
-                       ("dR80", "static fovea 80")):
-        sc = fig_c.new_series(label)
-        for t, duration in runs[key].response_series:
-            sc.add(t, duration)
-        sd = fig_d.new_series(label)
-        for t, duration in runs[key].image_series:
-            sd.add(t, duration)
+    _plot(fig_c, runs, "round_times")
+    _plot(fig_d, runs, "image_times")
     if runs["adaptive"].switches:
         t_switch, old, new = runs["adaptive"].switches[0]
         fig_c.note(f"adaptive switched fovea {old.dR} -> {new.dR} at t={t_switch:.1f}s")

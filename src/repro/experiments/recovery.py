@@ -47,7 +47,7 @@ from ..sandbox import ResourceLimits, Testbed
 from ..tunable import Configuration
 from .common import (
     FigureResult,
-    build_viz_controller,
+    build_controller,
     closed_loop_viz_user,
     start_estimate_exchanges,
     viz_initial_point,
@@ -131,7 +131,7 @@ def build_recovery(
 
     ins = instruments or Instruments()
     app = make_viz_app()
-    _scheduler, controller = build_viz_controller(app, db, preference, ins)
+    controller = build_controller(app, db, preference, ins)
     config = controller.select_initial(initial_point).config
 
     testbed = Testbed(
@@ -164,7 +164,7 @@ def build_recovery(
         rt.finished.callbacks.append(lambda _e: supervisor.shutdown())
     controller.attach(rt)
 
-    server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
+    client_ex, server_ex = start_estimate_exchanges(rt, controller)
 
     # -- controller failover group -----------------------------------------
     member_client: Optional[FailoverMember] = None

@@ -221,8 +221,10 @@ class Registered:
 
 #: Scenario name -> :class:`Registered`.  ``fig5`` runs the Fig. 5
 #: profiling sweep; its steppable form is the adaptive session that
-#: ``fig5sess`` runs.  The other sweep-style figures (fig3/fig4/fig7 grids)
-#: are not here: drive those through ``repro dash`` / ``repro sweep``.
+#: ``fig5sess`` runs.  It, Section 7's adaptive runs (``fig7a``/``fig7b``/
+#: ``fig7cd``) and ``ext-memory`` come from one builder,
+#: :func:`repro.experiments.common.build_adaptive_session`.  The fig3/fig4
+#: sweeps are not here: drive those through ``repro dash``/``repro sweep``.
 SCENARIOS: Dict[str, Registered] = {
     "fig5": Registered(
         "Fig. 5 profiling sweep (fovea size x CPU share)",
@@ -252,5 +254,21 @@ SCENARIOS: Dict[str, Registered] = {
     "crowd": Registered(
         "aggregate crowd population under the overload guard",
         build="repro.experiments.crowd:build_crowd",
+    ),
+    "fig7a": Registered(
+        "Experiment 1 adaptive run: bandwidth drop, compression switch",
+        build="repro.experiments.fig7:build_fig7a",
+    ),
+    "fig7b": Registered(
+        "Experiment 2 adaptive run: CPU drop, resolution degrade",
+        build="repro.experiments.fig7:build_fig7b",
+    ),
+    "fig7cd": Registered(
+        "Experiment 3 adaptive run: CPU drop, fovea shrink",
+        build="repro.experiments.fig7:build_fig7cd",
+    ),
+    "ext-memory": Registered(
+        "memory extension adaptive run: resident-limit drop, re-tiling",
+        build="repro.experiments.extension_memory:build_memory_session",
     ),
 }

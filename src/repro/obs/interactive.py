@@ -264,8 +264,10 @@ class InteractiveContext:
     ----------
     scenario:
         A steppable name from :data:`repro.experiments.scene.SCENARIOS`
-        (``fig5``/``fig5sess``/``chaos``/``recovery``/``crowd``), or a
-        Scene-builder callable taking ``seed=`` and ``instruments=``.
+        (``fig5``/``fig5sess``/``chaos``/``recovery``/``crowd``, and the
+        adaptive runs ``fig7a``/``fig7b``/``fig7cd``/``ext-memory`` that
+        :func:`repro.experiments.common.build_adaptive_session` builds), or
+        a Scene-builder callable taking ``seed=`` and ``instruments=``.
     instrument:
         Attach a :class:`TraceRecorder` + :class:`UsageAccountant` (the
         same pairing ``repro trace``/``repro report`` use).  Both are

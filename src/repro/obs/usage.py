@@ -134,19 +134,21 @@ class ResourceUsage:
         in_flight = self.share.served_now() - self.share.total_served
         return self.served + max(0.0, in_flight)
 
+    def projected_capacity(self) -> float:
+        """The capacity integral up to now, unfolded: a read cannot change it."""
+        dt = self.share.sim.now - self._cap_t
+        return self.capacity + self.share.speed * dt if dt > 0.0 else self.capacity
+
     def utilization(self) -> float:
         """Overall served / capacity over the tracked window(s)."""
-        self.fold_capacity(self.share.sim.now)
-        if self.capacity <= _EPS:
-            return 0.0
-        return self.projected_served() / self.capacity
+        capacity = self.projected_capacity()
+        return self.projected_served() / capacity if capacity > _EPS else 0.0
 
     def to_dict(self) -> dict:
-        self.fold_capacity(self.share.sim.now)
         served = self.projected_served()
         return {
             "kind": self.kind,
-            "capacity": self.capacity,
+            "capacity": self.projected_capacity(),
             "served": served,
             "utilization": self.utilization(),
             "by_owner": {k: self.by_owner[k] for k in sorted(self.by_owner)},

@@ -12,7 +12,10 @@ def test_scenario_registry_and_errors():
         "fig5", "fig5sess", "fig6a", "fig6b", "chaos", "recovery", "crowd",
     }
     steppable = {name for name, entry in SCENARIOS.items() if entry.build}
-    assert steppable >= {"fig5", "chaos", "recovery", "crowd"}
+    assert steppable >= {
+        "fig5", "chaos", "recovery", "crowd",
+        "fig7a", "fig7b", "fig7cd", "ext-memory",
+    }
     with pytest.raises(KeyError):
         InteractiveContext("no-such-scenario")
     with pytest.raises(KeyError):
@@ -39,3 +42,17 @@ def test_detach_is_idempotent_and_attach_free():
     instruments = Instruments(recorder=TraceRecorder())
     instruments.detach()  # never attached: a no-op
     assert instruments.recorder.sim is None
+
+
+@pytest.mark.parametrize(
+    "name, runner",
+    [("fig7a", "run_experiment1"), ("fig7b", "run_experiment2"),
+     ("fig7cd", "run_experiment3")],
+)
+def test_registered_fig7_scene_is_the_figures_adaptive_run(name, runner):
+    """The steppable Section 7 scene runs exactly the figure's adaptive run."""
+    from repro.experiments import fig7
+
+    _fig, payload = SCENARIOS[name].execute(0)
+    runs = getattr(fig7, runner)(seed=0)[-1]
+    assert payload == runs["adaptive"].to_dict()

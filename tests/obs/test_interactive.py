@@ -81,6 +81,19 @@ def test_recovery_stepped_inspection_byte_identical():
     assert ctx.inspect.faults() is not None
 
 
+@pytest.mark.parametrize("name", ["fig7a", "fig7b", "fig7cd", "ext-memory"])
+def test_adaptive_session_stepped_inspection_byte_identical(name):
+    from repro.experiments.scene import SCENARIOS
+
+    ref = _reference(
+        lambda seed, instruments: SCENARIOS[name].execute(seed, instruments),
+        seed=0,
+    )
+    ctx, got = _stepped_with_inspection(name, seed=0)
+    assert got == ref
+    assert ctx.scene.finalized and ctx.inspect.monitor()["estimates"]
+
+
 def test_interleaved_inspection_leaves_trace_unchanged():
     """Satellite regression: inspecting between steps must not perturb
     lazy-folded FluidShare state or the tracer (same stepping, with and

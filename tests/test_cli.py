@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +66,25 @@ def test_duplicate_aliases_run_once(capsys):
     # each figure header appears exactly once.
     assert out.count("== Fig 5a:") == 1
     assert out.count("== Fig 5b:") == 1
+
+
+def test_closed_pipe_exits_quietly():
+    """``repro ... | head``: the reader leaves after one line, no traceback."""
+    # Unbuffered, ablation-a5's table reaches the pipe at once and fig3a's
+    # output is written only after the reader has closed it.
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "ablation-a5", "fig3a",
+         "--no-plot"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == ""
 
 
 def _command_paths(parser, prefix=()):
